@@ -60,7 +60,6 @@ int main() {
   harness::OverloadScenario adaptive = scenario;
   adaptive.adaptive = true;
   adaptive.min_window = 2;
-  adaptive.max_window = 0;  // ceiling = window_size
   adaptive.piggyback = true;
 
   // One sender is the paced baseline; the crowd grows until the region's

@@ -41,8 +41,12 @@ class TinyHost final : public IHost {
   TimePoint now() const override { return loop_.now(); }
 
   // 2. One-shot cancellable timers. Handles must stay valid to cancel
-  //    after firing (cancel of a fired timer is a no-op).
-  TimerHandle schedule(Duration d, std::function<void()> fn) override {
+  //    after firing (cancel of a fired timer is a no-op). The callback is
+  //    a move-only sim::Callback; a reactor that wants std::function can
+  //    wrap it in a shared_ptr, at the cost of an allocation per timer.
+  //    An endpoint cancels every timer it scheduled when it halts, so a
+  //    host never has to guard callbacks against a destroyed endpoint.
+  TimerHandle schedule(Duration d, sim::Callback fn) override {
     return loop_.schedule_after(d, std::move(fn)).value;
   }
   void cancel(TimerHandle t) override { loop_.cancel(sim::TimerId{t}); }

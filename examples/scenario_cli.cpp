@@ -51,9 +51,7 @@ struct Options {
   bool no_backpressure = false;    // disable occupancy-driven window halving
   bool adaptive = false;           // AIMD window sizing (--window = ceiling)
   std::size_t min_window = 2;      // AIMD lower bound / starting window
-  std::size_t max_window = 0;      // AIMD ceiling override, 0 = --window
   bool piggyback = false;          // cursors ride on Data/Session frames
-  bool stall_backoff = false;      // exponential stall-remulticast pacing
   bool hierarchy = false;          // multi-level repair over the region tree
   std::size_t fanout = 2;          // children per region when --depth > 0
   std::size_t depth = 0;           // region-tree depth, 0 = flat --regions
@@ -108,13 +106,9 @@ void print_usage() {
       "                        credit round, halve on stall; --window\n"
       "                        becomes the ceiling\n"
       "  --min-window=N        AIMD lower bound and starting window (2)\n"
-      "  --max-window=N        AIMD ceiling override (0 = use --window)\n"
       "  --piggyback           ride receive cursors on outgoing Data/Session\n"
       "                        frames; CreditAck becomes a quiet-receiver\n"
       "                        fallback\n"
-      "  --stall-backoff       double the stall re-multicast interval per\n"
-      "                        consecutive re-multicast of the same wedged\n"
-      "                        frame (reset when the floor advances)\n"
       "  --hierarchy           multi-level repair: per-region representatives\n"
       "                        answer local NAKs and escalate misses up the\n"
       "                        region tree instead of going to the sender\n"
@@ -218,12 +212,8 @@ bool parse_args(int argc, char** argv, Options& opt) {
       opt.adaptive = true;
     } else if (eat("--min-window=", v)) {
       opt.min_window = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (eat("--max-window=", v)) {
-      opt.max_window = std::strtoull(v.c_str(), nullptr, 10);
     } else if (arg == "--piggyback") {
       opt.piggyback = true;
-    } else if (arg == "--stall-backoff") {
-      opt.stall_backoff = true;
     } else if (arg == "--hierarchy") {
       opt.hierarchy = true;
     } else if (eat("--fanout=", v)) {
@@ -304,11 +294,8 @@ bool validate(const Options& opt) {
     if (opt.min_window == 0) {
       return fail("--min-window must be positive: a zero window never sends");
     }
-    std::size_t ceiling = opt.max_window != 0 ? opt.max_window : opt.window;
-    if (opt.min_window > ceiling) {
-      return fail(
-          "--min-window must not exceed the AIMD ceiling (--max-window, or "
-          "--window when --max-window is 0)");
+    if (opt.min_window > opt.window) {
+      return fail("--min-window must not exceed the AIMD ceiling (--window)");
     }
   }
   return true;
@@ -390,9 +377,7 @@ int main(int argc, char** argv) {
   cc.protocol.flow.backpressure = !opt.no_backpressure;
   cc.protocol.flow.adaptive = opt.adaptive;
   cc.protocol.flow.min_window = static_cast<std::uint32_t>(opt.min_window);
-  cc.protocol.flow.max_window = static_cast<std::uint32_t>(opt.max_window);
   cc.protocol.flow.piggyback = opt.piggyback;
-  cc.protocol.flow.stall_backoff = opt.stall_backoff;
   cc.protocol.lambda = opt.lambda;
   cc.protocol.lookup = kind == buffer::PolicyKind::kHashBased
                            ? BuffererLookup::kHashDirect
@@ -421,9 +406,7 @@ int main(int argc, char** argv) {
                 opt.no_backpressure ? "off" : "on");
     if (opt.adaptive) {
       std::printf("flow: AIMD window [%zu, %zu], cursor piggyback %s\n",
-                  opt.min_window,
-                  opt.max_window != 0 ? opt.max_window : opt.window,
-                  opt.piggyback ? "on" : "off");
+                  opt.min_window, opt.window, opt.piggyback ? "on" : "off");
     } else if (opt.piggyback) {
       std::printf("flow: cursor piggyback on\n");
     }

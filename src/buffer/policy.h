@@ -30,7 +30,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -39,6 +38,7 @@
 #include "common/time.h"
 #include "common/types.h"
 #include "proto/messages.h"
+#include "sim/callback.h"
 
 namespace rrmp::buffer {
 
@@ -58,7 +58,7 @@ class PolicyEnv {
   virtual ~PolicyEnv() = default;
   virtual TimePoint now() const = 0;
   /// One-shot timer; returns a handle for cancel(). Handle 0 is invalid.
-  virtual std::uint64_t schedule(Duration d, std::function<void()> fn) = 0;
+  virtual std::uint64_t schedule(Duration d, sim::Callback fn) = 0;
   virtual void cancel(std::uint64_t timer) = 0;
   virtual RandomEngine& rng() = 0;
   /// Current size of the member's region (alive members, including self).

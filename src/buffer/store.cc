@@ -264,6 +264,13 @@ void BufferStore::set_entry_timer(const MessageId& id, std::uint64_t timer) {
   if (e != nullptr) e->timer = timer;
 }
 
+void BufferStore::cancel_entry_timers() {
+  for (Entry& e : entries_) {
+    if (e.timer != 0) env_->cancel(e.timer);
+    e.timer = 0;
+  }
+}
+
 std::uint64_t BufferStore::entry_timer(const MessageId& id) const {
   const Entry* e = find(id);
   return e == nullptr ? 0 : e->timer;

@@ -163,6 +163,10 @@ class BufferStore {
   void set_entry_timer(const MessageId& id, std::uint64_t timer);
   std::uint64_t entry_timer(const MessageId& id) const;
 
+  /// Cancel every entry's pending policy timer (the owner is halting: no
+  /// policy callback may run after this). Entries stay buffered.
+  void cancel_entry_timers();
+
   /// Test/harness hook: drop `id` immediately (as if idle-discarded).
   void force_discard(const MessageId& id) { discard(id); }
 

@@ -99,7 +99,7 @@ TimePoint Cluster::next_script_time() const {
   return scripts_.empty() ? TimePoint::max() : scripts_.front().at;
 }
 
-void Cluster::schedule_script(TimePoint t, std::function<void()> fn) {
+void Cluster::schedule_script(TimePoint t, sim::Callback fn) {
   if (network_->lane_count() == 1) {
     // Single lane: scripts interleave with protocol events on the one queue,
     // exactly like the pre-sharding harness.

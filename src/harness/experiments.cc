@@ -472,7 +472,6 @@ OverloadOutcome run_overload_point(std::size_t senders, bool flow_on,
   cc.protocol.flow.ack_interval = scenario.ack_interval;
   cc.protocol.flow.adaptive = scenario.adaptive;
   cc.protocol.flow.min_window = scenario.min_window;
-  cc.protocol.flow.max_window = scenario.max_window;
   cc.protocol.flow.piggyback = scenario.piggyback;
   cc.data_loss = scenario.data_loss;
   cc.seed = scenario.seed;

@@ -242,12 +242,10 @@ struct OverloadScenario {
   std::size_t target_budget_bytes = 0;  // 0 = frames-only windowing
   Duration ack_interval = Duration::millis(5);
 
-  /// AIMD window sizing + cursor piggybacking (the adaptive flow mode).
-  /// All off by default: the static-window run is bit-identical to the
-  /// pre-adaptive harness.
+  /// AIMD window sizing (window_size is the ceiling) + cursor
+  /// piggybacking: the adaptive flow mode. Off by default: a static window.
   bool adaptive = false;
   std::uint32_t min_window = 2;
-  std::uint32_t max_window = 0;  // 0 = window_size is the ceiling
   bool piggyback = false;
 
   /// Churn axis: crash one non-sender receiver a third of the way through

@@ -82,7 +82,7 @@ struct Config {
   /// per-target byte budgets, and region-aware back-pressure fed by the
   /// BufferDigest gossip. `flow.adaptive` turns the static window into an
   /// AIMD one (grow one frame per clean credit round, halve on stall,
-  /// bounded by [min_window, max_window or window_size]); `flow.piggyback`
+  /// bounded by [min_window, window_size]); `flow.piggyback`
   /// rides the cursors on outgoing Data/Session frames and demotes the
   /// CreditAck multicast to a quiet-receiver fallback. Disabled by default —
   /// the unpaced protocol is bit-identical to the pre-flow-control

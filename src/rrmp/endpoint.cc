@@ -36,7 +36,7 @@ Config sanitized(Config c) {
 
 TimePoint Endpoint::Env::now() const { return ep_.host_.now(); }
 
-std::uint64_t Endpoint::Env::schedule(Duration d, std::function<void()> fn) {
+std::uint64_t Endpoint::Env::schedule(Duration d, sim::Callback fn) {
   return ep_.schedule(d, std::move(fn));
 }
 
@@ -126,10 +126,7 @@ Endpoint::Endpoint(IHost& host, Config config,
   }
 }
 
-Endpoint::~Endpoint() {
-  halt();
-  *alive_token_ = false;  // defuse any timer guard still in a queue
-}
+Endpoint::~Endpoint() { halt(); }
 
 void Endpoint::halt() {
   if (!active_) return;
@@ -139,6 +136,7 @@ void Endpoint::halt() {
   cancel(anti_entropy_timer_);
   cancel(digest_timer_);
   cancel(credit_timer_);
+  store_->cancel_entry_timers();
   send_queue_.clear();
   flow_unacked_.clear();
   for (auto& [id, task] : recoveries_) {
@@ -1242,11 +1240,8 @@ void Endpoint::credit_tick() {
     // e.g. one behind a partition — should not eat a full multicast every
     // few ticks for as long as the partition lasts.
     if (flow_.outstanding() > 0 && flow_.window_floor() == stall_floor_) {
-      std::uint32_t backoff_shift =
-          cfg_.flow.stall_backoff
-              ? std::min(stall_streak_, kMaxStallBackoffShift)
-              : 0;
-      if (++stall_ticks_ >= (kStallRetransmitTicks << backoff_shift)) {
+      if (++stall_ticks_ >= (kStallRetransmitTicks
+                             << std::min(stall_streak_, kMaxStallBackoffShift))) {
         stall_ticks_ = 0;
         if (flow_.release_stalled_peers()) {
           // Every floor-holding cursor was a seeded binding ahead of its
@@ -1371,12 +1366,11 @@ std::vector<std::uint64_t> Endpoint::missing_from(MemberId source) const {
   return it->second.missing();
 }
 
-TimerHandle Endpoint::schedule(Duration d, std::function<void()> fn) {
-  return host_.schedule(d, [this, token = alive_token_, f = std::move(fn)] {
-    // Check the token before touching any member: the endpoint may have
-    // been destroyed while this callback sat in the timer queue.
-    if (*token && active_) f();
-  });
+TimerHandle Endpoint::schedule(Duration d, sim::Callback fn) {
+  // halt() cancels every timer scheduled before it and runs only once, so a
+  // halted endpoint must not leave a new one behind.
+  if (!active_) return kNoTimer;
+  return host_.schedule(d, std::move(fn));
 }
 
 void Endpoint::cancel(TimerHandle& t) {

@@ -92,7 +92,9 @@ class Endpoint {
   /// selected region members (§3.2) and stop all activity.
   void leave();
 
-  /// Stop without handoff (crash in tests; also used on shutdown).
+  /// Stop without handoff (crash in tests; also used on shutdown). Cancels
+  /// every timer the endpoint and its buffer policy scheduled and refuses
+  /// new ones, so no callback can reach a halted or destroyed endpoint.
   void halt();
 
   // --- transport interface --------------------------------------------
@@ -158,7 +160,7 @@ class Endpoint {
    public:
     explicit Env(Endpoint& ep) : ep_(ep) {}
     TimePoint now() const override;
-    std::uint64_t schedule(Duration d, std::function<void()> fn) override;
+    std::uint64_t schedule(Duration d, sim::Callback fn) override;
     void cancel(std::uint64_t timer) override;
     RandomEngine& rng() override;
     std::size_t region_size() const override;
@@ -308,7 +310,7 @@ class Endpoint {
   // Helpers.
   void serve_waiters(const proto::Data& d);
   void satisfy_searches(const proto::Data& d);
-  TimerHandle schedule(Duration d, std::function<void()> fn);
+  TimerHandle schedule(Duration d, sim::Callback fn);
   void cancel(TimerHandle& t);
   Duration request_timeout(MemberId peer) const;
   MetricsSink& metrics() { return *metrics_; }
@@ -323,11 +325,6 @@ class Endpoint {
   std::function<void(const proto::Data&)> delivery_handler_;
 
   bool active_ = true;
-  // Liveness token captured by every timer guard: halt() cancels the timers
-  // it tracks, but buffer-policy timers it does not — a timer that outlives
-  // this endpoint (e.g. the member was replaced after a rejoin) must find a
-  // dead token instead of dereferencing a freed `this`.
-  std::shared_ptr<bool> alive_token_ = std::make_shared<bool>(true);
   std::uint64_t send_seq_ = 0;  // last sequence sent (this member as sender)
   /// Last sequence *assigned* by multicast(). With flow control off this
   /// always equals send_seq_; with it on, ids in (send_seq_, next_app_seq_]

@@ -11,10 +11,10 @@ FlowControlParams sanitized(FlowControlParams p) {
   if (!(p.pressure_watermark > 0.0) || p.pressure_watermark > 1.0) {
     p.pressure_watermark = 0.75;
   }
-  // AIMD bounds: min_window at least one frame and never above the ceiling
-  // (which itself is at least 1 because window_size and max_window are).
+  // AIMD bounds: min_window at least one frame and never above the
+  // ceiling, window_size (itself at least 1).
   if (p.min_window == 0) p.min_window = 1;
-  if (p.min_window > p.ceiling()) p.min_window = p.ceiling();
+  if (p.min_window > p.window_size) p.min_window = p.window_size;
   return p;
 }
 
@@ -23,11 +23,9 @@ FlowController::FlowController(FlowControlParams params,
     : params_(sanitized(params)), self_budget_bytes_(self_budget_bytes) {
   // Slot s % (W+1) covers sequence s for s in [send_seq - W, send_seq];
   // slot 0 doubles as the cum(0) = 0 anchor until sequence W+1 reuses it —
-  // by which time the floor has necessarily advanced past 0. W is whatever
-  // the window can ever reach: the AIMD ceiling may sit above the static
-  // window_size knob when max_window raises it.
-  std::uint64_t span = std::max(params_.window_size, params_.ceiling());
-  cum_ring_.assign(span + 1, 0);
+  // by which time the floor has necessarily advanced past 0. W is
+  // window_size, the largest the window (static or AIMD) can ever reach.
+  cum_ring_.assign(std::uint64_t{params_.window_size} + 1, 0);
   cwnd_ = params_.min_window;  // slow start from the floor; AIMD grows it
 }
 
@@ -168,7 +166,7 @@ bool FlowController::release_stalled_peers() {
 
 void FlowController::on_clean_round() {
   if (!params_.adaptive) return;
-  if (cwnd_ < params_.ceiling()) ++cwnd_;
+  if (cwnd_ < params_.window_size) ++cwnd_;
 }
 
 void FlowController::on_loss() {

@@ -65,12 +65,10 @@ struct FlowControlParams {
   /// and grows by one frame per *clean credit round* (a probe period — the
   /// larger of ack_interval and the measured RTT — in which the floor
   /// advanced with no stall), and halves on an observed loss/stall, bounded
-  /// to [min_window, ceiling] where ceiling = max_window, or the static
-  /// `window_size` knob when max_window is 0. Off (the default): the window
-  /// is the static `window_size`, bit-identical to the non-adaptive design.
+  /// to [min_window, window_size]. Off (the default): the window is the
+  /// static `window_size`.
   bool adaptive = false;
   std::uint32_t min_window = 2;
-  std::uint32_t max_window = 0;  // 0 = window_size is the ceiling
 
   /// Piggyback this member's receive cursors on its outgoing Data/Session
   /// frames and suppress the periodic CreditAck multicast while those
@@ -78,21 +76,8 @@ struct FlowControlParams {
   /// receivers (plus a periodic refresh in case frames were lost).
   bool piggyback = false;
 
-  /// Exponential backoff between stall re-multicasts of the same wedged
-  /// frame: the stall tick threshold doubles per re-multicast (capped at
-  /// 8x) and resets when the floor advances, so a frame wedged behind a
-  /// congested window isn't re-injected into it at a fixed cadence. Off
-  /// (the default): the flat retransmit cadence of the previous revision.
-  bool stall_backoff = false;
-
   friend bool operator==(const FlowControlParams&,
                          const FlowControlParams&) = default;
-
-  /// The adaptive window's upper bound (equals window_size when off or when
-  /// max_window is unset).
-  std::uint32_t ceiling() const {
-    return adaptive && max_window != 0 ? max_window : window_size;
-  }
 };
 
 /// Per-sender window state: outstanding frames/bytes against the minimum
@@ -165,7 +150,7 @@ class FlowController {
   // --- AIMD (adaptive window sizing) --------------------------------------
 
   /// A clean probe round elapsed (floor advanced, no stall observed):
-  /// additive increase by one frame, capped at params().ceiling(). No-op
+  /// additive increase by one frame, capped at params().window_size. No-op
   /// unless params().adaptive.
   void on_clean_round();
 
@@ -184,7 +169,7 @@ class FlowController {
   /// catches the cursor up; until then the window stays closed).
   std::uint64_t outstanding() const { return send_seq_ - window_floor(); }
   /// Bytes of the unacknowledged tail, clamped to the newest frames the
-  /// cumulative ring covers (max(window_size, ceiling); see outstanding()).
+  /// cumulative ring covers (window_size; see outstanding()).
   std::uint64_t outstanding_bytes() const;
   /// Credits available right now: effective_window() - outstanding(),
   /// clamped at 0. Never exceeds current_window() by construction.
@@ -250,7 +235,7 @@ class FlowController {
 };
 
 /// Clamp nonsensical knob values (window 0, non-positive ack period,
-/// watermark outside (0, 1], min_window of 0 or above the AIMD ceiling) to
+/// watermark outside (0, 1], min_window of 0 or above window_size) to
 /// safe ones; mirrors Config sanitizing.
 FlowControlParams sanitized(FlowControlParams p);
 

@@ -7,13 +7,13 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "common/random.h"
 #include "common/time.h"
 #include "common/types.h"
 #include "membership/view.h"
 #include "proto/messages.h"
+#include "sim/callback.h"
 
 namespace rrmp {
 
@@ -29,7 +29,10 @@ class IHost {
   virtual RegionId region() const = 0;
 
   virtual TimePoint now() const = 0;
-  virtual TimerHandle schedule(Duration d, std::function<void()> fn) = 0;
+  /// One-shot timer. Callback stores captures up to 48 bytes inline, so a
+  /// host backed by a slab queue (sim::Simulator) schedules without
+  /// allocating.
+  virtual TimerHandle schedule(Duration d, sim::Callback fn) = 0;
   virtual void cancel(TimerHandle timer) = 0;
 
   /// Unicast to any member of the group.

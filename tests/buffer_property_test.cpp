@@ -483,21 +483,14 @@ TEST(FlowControlPropertyTest, RandomizedFeedbackPreservesWindowInvariants) {
     params.window_size = static_cast<std::uint32_t>(rng.uniform_int(1, 6));
     params.target_budget_bytes =
         (seed % 2) == 0 ? 0 : static_cast<std::size_t>(rng.uniform_int(64, 256));
-    // Odd seeds run the AIMD window: min_window within the static window
-    // (no sanitizer clamping to shadow), max_window either "use the static
-    // knob as ceiling" or explicitly above it.
+    // Odd seeds run the AIMD window: min_window within the static window,
+    // which is also its ceiling (no sanitizer clamping to shadow).
     params.adaptive = (seed % 2) == 1;
     params.min_window = static_cast<std::uint32_t>(
         rng.uniform_int(1, params.window_size));
-    params.max_window =
-        rng.uniform_int(0, 1) == 0
-            ? 0
-            : params.window_size + static_cast<std::uint32_t>(
-                                       rng.uniform_int(0, 4));
     FlowController fc(params, /*self_budget_bytes=*/1024);
-    const std::uint32_t ceiling = params.ceiling();
-    const std::uint64_t ring_span =
-        std::max(params.window_size, ceiling);
+    const std::uint32_t ceiling = params.window_size;
+    const std::uint64_t ring_span = params.window_size;
 
     // Shadow model: cumulative bytes per sequence, per-peer cursors, and
     // the AIMD congestion window.

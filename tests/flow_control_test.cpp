@@ -216,12 +216,10 @@ TEST(FlowControllerTest, AccountingIsExact) {
 
 // ----------------------------------------------------------- AIMD unit ----
 
-FlowControlParams aimd(std::uint32_t window, std::uint32_t min_window = 2,
-                       std::uint32_t max_window = 0) {
+FlowControlParams aimd(std::uint32_t window, std::uint32_t min_window = 2) {
   FlowControlParams p = windowed(window);
   p.adaptive = true;
   p.min_window = min_window;
-  p.max_window = max_window;
   return p;
 }
 
@@ -244,12 +242,6 @@ TEST(FlowControllerTest, AimdHalvesOnLossFlooredAtMinWindow) {
   EXPECT_EQ(fc.current_window(), 2u);
   fc.on_loss();
   EXPECT_EQ(fc.current_window(), 2u);  // never below min_window
-}
-
-TEST(FlowControllerTest, AimdMaxWindowRaisesCeilingAboveStaticKnob) {
-  FlowController fc(aimd(8, /*min=*/2, /*max=*/16), 0);
-  for (int i = 0; i < 30; ++i) fc.on_clean_round();
-  EXPECT_EQ(fc.current_window(), 16u);
 }
 
 TEST(FlowControllerTest, AimdGatesAdmissionThroughCurrentWindow) {
@@ -333,11 +325,8 @@ TEST(FlowControllerTest, ReleaseNeverSkipsAnHonestFloorHolder) {
 TEST(FlowControllerTest, SanitizedClampsAimdKnobs) {
   FlowControlParams p = aimd(8, /*min=*/0);
   EXPECT_EQ(sanitized(p).min_window, 1u);
-  p.min_window = 99;  // above the ceiling: clamped down to it
+  p.min_window = 99;  // above the ceiling (window_size): clamped down to it
   EXPECT_EQ(sanitized(p).min_window, 8u);
-  p.min_window = 99;
-  p.max_window = 12;
-  EXPECT_EQ(sanitized(p).min_window, 12u);
 }
 
 TEST(FlowControllerTest, SanitizedClampsNonsenseKnobs) {
@@ -763,7 +752,6 @@ TEST(FlowEndpointTest, StallRemcastsBackOffExponentially) {
   // not stay at the flat every-3-ticks cadence: a receiver that duplicates
   // cannot unwedge should not eat a multicast every 15 ms indefinitely.
   harness::ClusterConfig cc = flow_cluster(3, 41, /*window=*/4);
-  cc.protocol.flow.stall_backoff = true;
   harness::Cluster cluster(cc);
   std::uint64_t clean_remcasts = 0;
   cluster.schedule_script_after(Duration::millis(1), [&] {

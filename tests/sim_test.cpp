@@ -1,15 +1,20 @@
 // Unit tests: discrete-event simulator ordering, timers, determinism, the
 // slab timer store's generation-tagged handles, and sim::Callback's
-// small-buffer optimization (including an allocation-count assertion that
-// schedule/fire is heap-free for inline captures).
+// small-buffer optimization (including allocation-count assertions that
+// schedule/fire/cancel is heap-free for inline captures, both on the raw
+// simulator and on the protocol's timer paths: IHost, UdpBus, and a buffer
+// policy's environment inside an Endpoint).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <stdexcept>
 #include <vector>
 
+#include "harness/cluster.h"
+#include "net/udp_host.h"
 #include "sim/simulator.h"
 
 // Global allocation counter: counts every operator-new in this test binary
@@ -388,6 +393,107 @@ TEST(AllocationFreeTest, ScheduleFireCancelOfInlineCapturesIsHeapFree) {
   EXPECT_EQ(fired, 100u);
   EXPECT_EQ(allocs, 0u) << "schedule/fire/cancel must not allocate for "
                            "captures <= Callback::kInlineCapacity bytes";
+}
+
+// The protocol's timer paths. A round schedules a timer with the typical
+// `this` + MessageId capture, schedules and cancels a second one, and fires
+// the first; warm-up rounds size the slab and heap first.
+constexpr int kWarmRounds = 200;
+constexpr int kMeasuredRounds = 1000;
+constexpr int kRounds = kWarmRounds + kMeasuredRounds;
+
+/// Allocations made by the measured rounds, after the warm-up rounds.
+template <typename Round>
+std::uint64_t allocations_once_warm(Round&& round) {
+  for (int i = 0; i < kWarmRounds; ++i) round();
+  std::uint64_t before = g_alloc_count.load();
+  for (int i = 0; i < kMeasuredRounds; ++i) round();
+  return g_alloc_count.load() - before;
+}
+
+/// A single-member cluster: its endpoint schedules nothing on its own until
+/// it sends or stores a message, so the lane queue holds only test timers.
+harness::ClusterConfig quiet_member(buffer::TwoPhaseParams two_phase = {}) {
+  harness::ClusterConfig cc;
+  cc.region_sizes = {1};
+  cc.policy = two_phase;
+  return cc;
+}
+
+TEST(AllocationFreeTest, SimHostTimersThroughIHostAreHeapFree) {
+  harness::Cluster cluster(quiet_member());
+  IHost& host = cluster.host(0);
+  Simulator& lane = cluster.network().simulator_for(0);
+  const MessageId id{0, 1};
+  std::uint64_t fired = 0;
+  std::uint64_t allocs = allocations_once_warm([&] {
+    host.schedule(Duration::micros(1), [&fired, id] { fired += id.seq; });
+    host.cancel(host.schedule(Duration::micros(2),
+                              [&fired, id] { fired += id.seq; }));
+    lane.run_until(lane.now() + Duration::micros(2));
+  });
+  EXPECT_EQ(fired, static_cast<std::uint64_t>(kRounds));
+  EXPECT_EQ(allocs, 0u) << "allocations per timer: "
+                        << static_cast<double>(allocs) / (2 * kMeasuredRounds);
+}
+
+TEST(AllocationFreeTest, UdpBusTimersAreHeapFree) {
+  std::unique_ptr<net::UdpBus> bus;
+  try {
+    bus = std::make_unique<net::UdpBus>(1, 39660);
+  } catch (const std::runtime_error&) {
+    GTEST_SKIP() << "UDP sockets unavailable";
+  }
+  const MessageId id{0, 1};
+  std::uint64_t fired = 0;
+  std::uint64_t allocs = allocations_once_warm([&] {
+    bus->schedule_after(Duration::zero(), [&fired, id] { fired += id.seq; });
+    bus->cancel(bus->schedule_after(Duration::zero(),
+                                    [&fired, id] { fired += id.seq; }));
+    bus->run_until(bus->now());  // fires what is due, no poll wait
+  });
+  EXPECT_EQ(fired, static_cast<std::uint64_t>(kRounds));
+  EXPECT_EQ(allocs, 0u) << "allocations per timer: "
+                        << static_cast<double>(allocs) / (2 * kMeasuredRounds);
+}
+
+TEST(AllocationFreeTest, TwoPhaseTimersThroughEndpointPolicyEnvAreHeapFree) {
+  // Two buffered messages under the paper's two-phase policy, requested
+  // every half idle threshold. `active` stays short-term: each idle check
+  // finds it busy and re-arms itself (fire + schedule). `kept` skips one
+  // request, goes long-term (C >= region size makes the keep draw certain),
+  // and from then on each request refreshes its long-term TTL (cancel +
+  // schedule). Every timer goes through the endpoint's PolicyEnv.
+  buffer::TwoPhaseParams params;
+  params.idle_threshold = Duration::millis(40);
+  params.C = 1.0;
+  params.long_term_ttl = Duration::seconds(3600);
+  harness::Cluster cluster(quiet_member(params));
+  buffer::BufferStore& store = cluster.endpoint(0).buffer();
+  Simulator& lane = cluster.network().simulator_for(0);
+  const MessageId active{7, 1};
+  const MessageId kept{7, 2};
+  store.store(proto::Data{active, std::vector<std::uint8_t>(16, 1)});
+  store.store(proto::Data{kept, std::vector<std::uint8_t>(16, 2)});
+  const Duration half = params.idle_threshold / 2;
+  lane.run_until(lane.now() + half);
+  store.on_request_seen(active);
+  lane.run_until(lane.now() + half);  // `kept` was idle: promoted
+  ASSERT_TRUE(store.is_long_term(kept));
+  ASSERT_FALSE(store.is_long_term(active));
+
+  std::uint64_t fired_before = lane.fired_count();
+  std::uint64_t allocs = allocations_once_warm([&] {
+    store.on_request_seen(active);
+    store.on_request_seen(kept);
+    lane.run_until(lane.now() + half);
+  });
+  EXPECT_EQ(lane.fired_count() - fired_before,
+            static_cast<std::uint64_t>(kRounds));
+  EXPECT_TRUE(store.has(active));
+  EXPECT_TRUE(store.has(kept));
+  EXPECT_EQ(allocs, 0u) << "allocations per timer: "
+                        << static_cast<double>(allocs) / (2 * kMeasuredRounds);
 }
 
 }  // namespace

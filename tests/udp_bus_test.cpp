@@ -64,6 +64,26 @@ TEST(UdpBusTest, CancelledTimerNeverFires) {
   EXPECT_FALSE(fired);
 }
 
+TEST(UdpBusTest, CancelledTimersDoNotWakeThePollLoop) {
+  // Cancelled deadlines must stop bounding the poll timeout: with 100
+  // timers spread over the window and all cancelled, the loop sleeps
+  // through to the window's end instead of waking once per dead deadline.
+  auto bus = try_bus(1, 39670);
+  if (!bus) GTEST_SKIP() << "UDP sockets unavailable";
+  const Duration window = Duration::millis(200);
+  bool fired = false;
+  std::vector<std::uint64_t> ids;
+  for (int i = 1; i <= 100; ++i) {
+    ids.push_back(bus->schedule_after(window * i / 101, [&] { fired = true; }));
+  }
+  for (std::uint64_t id : ids) bus->cancel(id);
+  std::uint64_t polls_before = bus->poll_syscalls();
+  bus->run_until(bus->now() + window);
+  EXPECT_FALSE(fired);
+  EXPECT_GE(bus->poll_syscalls() - polls_before, 1u);
+  EXPECT_LE(bus->poll_syscalls() - polls_before, 2u);
+}
+
 TEST(UdpBusTest, DelayFnPostponesDatagrams) {
   auto bus = try_bus(2, 39530);
   if (!bus) GTEST_SKIP() << "UDP sockets unavailable";
