@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "buffer/buffer_everything.h"
+#include "buffer/coordination.h"
 #include "buffer/fixed_time.h"
 #include "buffer/store.h"
 #include "common/random.h"
@@ -125,6 +126,54 @@ void BM_StoreAdmitEvictWithTimers(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_StoreAdmitEvictWithTimers)->Arg(16)->Arg(256);
+
+void BM_StoreAdmitEvictCoordinated(benchmark::State& state) {
+  // Cooperative-budget admission: a 64-entry budget with coordination on
+  // and 31 region peers advertising fragmented digests (runs of two with
+  // one-seq gaps, shifted per peer), so every insert ranks all 64 entries
+  // against every peer's ranges before evicting one. Admissions cycle
+  // through an id space four budgets wide, skipping ids still buffered, so
+  // every measured insert evicts against the same static digests.
+  constexpr std::size_t kBudget = 64;
+  constexpr MemberId kPeers = 31;
+  constexpr std::uint64_t kSpan = 4 * kBudget;
+  BenchEnv env;
+  buffer::CoordinationParams coord;
+  coord.enabled = true;
+  buffer::BufferStore store(std::make_unique<buffer::BufferEverythingPolicy>(),
+                            buffer::BufferBudget{0, kBudget}, coord);
+  store.bind(&env);
+  for (MemberId peer = 1; peer <= kPeers; ++peer) {
+    std::vector<proto::DigestRange> ranges;
+    for (std::uint64_t seq = 1 + peer % 3; seq + 1 <= kSpan; seq += 3) {
+      ranges.push_back({1, seq, 2});
+    }
+    store.digests().update(peer, 0, ranges);
+  }
+  std::vector<std::uint8_t> payload(256, 1);
+  std::vector<proto::Data> msgs;
+  for (std::uint64_t seq = 1; seq <= kSpan; ++seq) {
+    msgs.push_back(data_of(seq, payload));
+  }
+  std::uint64_t seq = 0;
+  auto next_absent = [&] {
+    do {
+      seq = seq % kSpan + 1;
+    } while (store.has(MessageId{1, seq}));
+    return seq;
+  };
+  for (std::size_t i = 0; i < kBudget; ++i) store.store(msgs[next_absent() - 1]);
+  std::uint64_t evicted = store.stats().evicted;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(store.store(msgs[next_absent() - 1]));
+  }
+  if (store.stats().evicted - evicted !=
+      static_cast<std::uint64_t>(state.iterations())) {
+    state.SkipWithError("an admission did not evict");
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_StoreAdmitEvictCoordinated);
 
 }  // namespace
 

@@ -21,6 +21,14 @@
 // Everything is gated on CoordinationParams::enabled: disabled, no digest is
 // ever sent, no replica count consulted, and eviction is bit-identical to
 // the uncoordinated PR 4 protocol.
+//
+// Cost model. DigestTable::update canonicalises every advertisement on
+// receipt (sorted by (source, first seq), overlapping and adjacent runs
+// merged, empty runs dropped), so each peer's held set is a sorted list of
+// disjoint runs. Ranking the store's id-sorted entries for an eviction is
+// then one merge walk per peer (holder_infos): O(peers x (entries + ranges))
+// per admission under pressure. Single-id queries (holders_of, holder_info)
+// binary-search each peer's runs: O(peers x log ranges).
 #pragma once
 
 #include <cstdint>
@@ -65,15 +73,21 @@ struct CoordinationParams {
 /// One store's view of its region neighbors' advertised buffer contents.
 /// Keyed by member id in an ordered map so every derived decision (replica
 /// counts, least-loaded neighbor) is deterministic across runs and shard
-/// counts.
+/// counts. Stored ranges are canonical: per peer, sorted by (source, first
+/// seq) and pairwise disjoint and non-adjacent, whatever shape the wire
+/// advertisement had.
 class DigestTable {
  public:
   /// Replace `peer`'s advertisement (the digest stream is idempotent:
   /// every digest carries the peer's full held set). `window_outstanding`
   /// is the peer's advertised flow-control window occupancy (0 when flow
-  /// control is off at the peer).
+  /// control is off at the peer). The ranges are canonicalised into the
+  /// peer's existing storage: an already-canonical advertisement (what
+  /// BufferStore::build_digest emits) is copied in one pass, anything else
+  /// (unsorted, overlapping, zero-count, ends past UINT64_MAX) is sorted
+  /// and merged; the held id set is the same either way.
   void update(MemberId peer, std::uint64_t bytes_in_use,
-              std::vector<proto::DigestRange> ranges,
+              const std::vector<proto::DigestRange>& ranges,
               std::uint64_t window_outstanding = 0);
 
   /// Drop `peer`'s advertisement (left/crashed).
@@ -110,14 +124,22 @@ class DigestTable {
   /// simultaneously; rendezvous hashing spreads keeper duty evenly.
   bool keeper_is(const MessageId& id, MemberId self) const;
 
-  /// holders_of + keeper_is in a single table scan — pick_victims consults
-  /// both per entry on the eviction hot path, and the advertising peers
+  /// holders_of + keeper_is in one lookup per peer: the advertising peers
   /// that decide them are the same rows.
   struct HolderInfo {
     std::size_t holders = 0;  // neighbors advertising the id
     bool keeper = true;       // self wins the rendezvous election
   };
   HolderInfo holder_info(const MessageId& id, MemberId self) const;
+
+  /// holder_info for every id of `ids` at once, into `out` (resized to
+  /// ids.size(), reusing its capacity). `ids` must be ascending, as a
+  /// store's entries are: each peer's canonical runs are then merged
+  /// against the ids in a single walk, and rendezvous hashes are computed
+  /// only while an id's keeper election is still undecided. This is the
+  /// eviction ranking path (RetentionPolicy::pick_victims).
+  void holder_infos(const std::vector<MessageId>& ids, MemberId self,
+                    std::vector<HolderInfo>& out) const;
 
   /// Advertised bytes in use for `peer`; 0 if unknown.
   std::uint64_t advertised_bytes(MemberId peer) const;
@@ -136,12 +158,22 @@ class DigestTable {
                         MemberId exclude) const;
 
  private:
+  /// Held seqs [first, last] of one source. Inclusive bounds: a merged run
+  /// may cover all 2^64 seqs, which no (first_seq, count) pair can express.
+  struct Run {
+    MemberId source = kInvalidMember;
+    std::uint64_t first = 0;
+    std::uint64_t last = 0;
+  };
   struct PeerDigest {
     std::uint64_t bytes_in_use = 0;
     std::uint64_t window_outstanding = 0;
     std::size_t missed = 0;  // digest periods since the last refresh
-    std::vector<proto::DigestRange> ranges;
+    std::vector<Run> runs;   // canonical: ascending, disjoint, non-adjacent
   };
+  static void canonicalize(const std::vector<proto::DigestRange>& ranges,
+                           std::vector<Run>& runs);
+  static bool holds(const std::vector<Run>& runs, const MessageId& id);
   std::map<MemberId, PeerDigest> peers_;
 };
 

@@ -23,19 +23,6 @@ void RetentionPolicy::bind(BufferStore* store, PolicyEnv* env) {
 
 namespace {
 
-struct Candidate {
-  MessageId id;
-  std::size_t bytes;
-  TimePoint last_activity;
-  bool long_term;
-  /// Expendability rank from the coordination cost model: 0 for protected
-  /// entries (sole copies, designated keepers, everything when coordination
-  /// is off — the comparator then degenerates to the uncoordinated order),
-  /// otherwise the entry's known regional replica count, so the most
-  /// replicated redundant entry is evicted first.
-  std::size_t replica_rank = 0;
-};
-
 /// The deterministic expendability order. With coordination, the replica
 /// cost model ranks first: the more known regional replicas an entry has
 /// (up to the redundancy threshold) the more expendable it is, so sole
@@ -45,7 +32,7 @@ struct Candidate {
 /// region's recovery capital), least-recently-active first, ties broken by
 /// ascending MessageId so every member and every shard count evicts the
 /// same victims in the same order.
-bool more_expendable(const Candidate& a, const Candidate& b) {
+bool more_expendable(const EvictionCandidate& a, const EvictionCandidate& b) {
   if (a.replica_rank != b.replica_rank) return a.replica_rank > b.replica_rank;
   if (a.long_term != b.long_term) return !a.long_term;
   if (a.last_activity != b.last_activity) {
@@ -56,7 +43,10 @@ bool more_expendable(const Candidate& a, const Candidate& b) {
 
 }  // namespace
 
-EvictionPlan RetentionPolicy::pick_victims(const EvictionDemand& need) {
+void RetentionPolicy::pick_victims(const EvictionDemand& need,
+                                   EvictionPlan& plan) {
+  plan.victims.clear();
+  if (store().count() == 0) return;
   // Replica counts are consulted only under coordination; uncoordinated
   // stores keep every rank at 0 and reproduce the PR 4 plan bit-for-bit.
   // Coordinated, an entry is expendable (rank = its replica count, most
@@ -64,78 +54,60 @@ EvictionPlan RetentionPolicy::pick_victims(const EvictionDemand& need) {
   // known replicas) AND this member is not its designated keeper — the
   // keeper election stops all holders of a redundant entry from evicting
   // it simultaneously. Sole copies and keeper copies rank 0 (protected).
-  //
-  // Ranking an entry costs a digest-table scan (holder_info), so the
-  // coordinated path computes every rank exactly once: one snapshot pass
-  // feeds both the single-victim fast path (min, no sort) and, only when
-  // the demand needs more, the full sort. The uncoordinated path keeps
-  // the PR 3 allocation-free steady-state scan.
+  // Entries are visited in id order, so one batch query ranks them all in
+  // a single merge walk per advertising peer; holders_[i] is the i-th
+  // entry's.
   const bool coordinated = store().coordination_enabled();
   const std::size_t threshold = store().coordination().redundancy_threshold;
-  auto rank_of = [&](const MessageId& id) -> std::size_t {
-    // Called only for currently-stored entries, so our copy always counts.
-    DigestTable::HolderInfo info =
-        store().digests().holder_info(id, env().self());
-    std::size_t replicas = 1 + info.holders;
-    if (replicas < threshold || info.keeper) return 0;
-    return replicas;
-  };
   if (coordinated) {
-    std::vector<Candidate> candidates;
-    candidates.reserve(store().count());
-    store().for_each_entry([&](const BufferStore::EntryView& e) {
-      candidates.push_back(
-          {e.id, e.bytes, e.last_activity, e.long_term, rank_of(e.id)});
-    });
-    if (candidates.empty()) return {};
-    const Candidate& best = *std::min_element(
-        candidates.begin(), candidates.end(),
-        [](const Candidate& a, const Candidate& b) {
-          return more_expendable(a, b);
-        });
-    if (best.bytes >= need.bytes && need.entries <= 1) {
-      return {{best.id}};
-    }
-    std::sort(candidates.begin(), candidates.end(), more_expendable);
-    EvictionPlan plan;
-    std::size_t freed_bytes = 0, freed_entries = 0;
-    for (const Candidate& c : candidates) {
-      if (freed_bytes >= need.bytes && freed_entries >= need.entries) break;
-      plan.victims.push_back(c.id);
-      freed_bytes += c.bytes;
-      ++freed_entries;
-    }
-    return plan;
+    ids_.clear();
+    ids_.reserve(store().count());
+    store().for_each_entry(
+        [this](const BufferStore::EntryView& e) { ids_.push_back(e.id); });
+    store().digests().holder_infos(ids_, env().self(), holders_);
   }
+  std::size_t index = 0;
+  auto candidate_of = [&](const BufferStore::EntryView& e) {
+    EvictionCandidate c{e.id, e.bytes, e.last_activity, e.long_term, 0};
+    if (coordinated) {
+      // Every entry is stored here, so our copy always counts.
+      const DigestTable::HolderInfo& info = holders_[index];
+      std::size_t replicas = 1 + info.holders;
+      if (replicas >= threshold && !info.keeper) c.replica_rank = replicas;
+    }
+    ++index;
+    return c;
+  };
   // Fast path for the steady state (incoming message ~= evicted message):
-  // one allocation-free linear pass finds the single most expendable entry;
-  // if evicting it satisfies the demand, that is the whole plan. Only
-  // multi-victim demands (large incoming message, shrunk budget) pay for a
-  // snapshot + sort.
-  std::optional<Candidate> best;
+  // one linear pass finds the single most expendable entry; if evicting it
+  // satisfies the demand, that is the whole plan. Only multi-victim
+  // demands (large incoming message, shrunk budget) pay for a snapshot and
+  // a sort.
+  EvictionCandidate best;
+  bool first = true;
   store().for_each_entry([&](const BufferStore::EntryView& e) {
-    Candidate c{e.id, e.bytes, e.last_activity, e.long_term, 0};
-    if (!best || more_expendable(c, *best)) best = c;
+    EvictionCandidate c = candidate_of(e);
+    if (first || more_expendable(c, best)) best = c;
+    first = false;
   });
-  if (!best) return {};
-  if (best->bytes >= need.bytes && need.entries <= 1) {
-    return {{best->id}};
+  if (best.bytes >= need.bytes && need.entries <= 1) {
+    plan.victims.push_back(best.id);
+    return;
   }
-  std::vector<Candidate> candidates;
-  candidates.reserve(store().count());
+  index = 0;
+  candidates_.clear();
+  candidates_.reserve(store().count());
   store().for_each_entry([&](const BufferStore::EntryView& e) {
-    candidates.push_back({e.id, e.bytes, e.last_activity, e.long_term, 0});
+    candidates_.push_back(candidate_of(e));
   });
-  std::sort(candidates.begin(), candidates.end(), more_expendable);
-  EvictionPlan plan;
+  std::sort(candidates_.begin(), candidates_.end(), more_expendable);
   std::size_t freed_bytes = 0, freed_entries = 0;
-  for (const Candidate& c : candidates) {
+  for (const EvictionCandidate& c : candidates_) {
     if (freed_bytes >= need.bytes && freed_entries >= need.entries) break;
     plan.victims.push_back(c.id);
     freed_bytes += c.bytes;
     ++freed_entries;
   }
-  return plan;
 }
 
 }  // namespace rrmp::buffer

@@ -30,10 +30,10 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "buffer/budget.h"
+#include "buffer/coordination.h"
 #include "common/random.h"
 #include "common/time.h"
 #include "common/types.h"
@@ -113,9 +113,25 @@ struct EvictionDemand {
   std::size_t entries = 0;  // entries to free (0 = none)
 };
 
-/// An ordered list of currently-stored ids the store should evict.
+/// An ordered list of currently-stored ids the store should evict. The
+/// store keeps one plan and hands it to every pick_victims call, so a warm
+/// eviction reuses its capacity instead of allocating.
 struct EvictionPlan {
   std::vector<MessageId> victims;
+};
+
+/// One stored entry as pick_victims ranks it.
+struct EvictionCandidate {
+  MessageId id;
+  std::size_t bytes = 0;
+  TimePoint last_activity;
+  bool long_term = false;
+  /// Expendability rank from the coordination cost model: 0 for protected
+  /// entries (sole copies, designated keepers, everything when coordination
+  /// is off — the order then degenerates to the uncoordinated one),
+  /// otherwise the entry's known regional replica count, so the most
+  /// replicated redundant entry is evicted first.
+  std::size_t replica_rank = 0;
 };
 
 /// Pure retention strategy. Bound to exactly one BufferStore; all message
@@ -158,8 +174,9 @@ class RetentionPolicy {
   /// regional replicas whose keeper is another member are preferred
   /// victims (most replicated first), while keeper copies and sole-copy
   /// entries are protected (evicted only when nothing redundant remains);
-  /// the uncoordinated order breaks ties within each rank.
-  virtual EvictionPlan pick_victims(const EvictionDemand& need);
+  /// the uncoordinated order breaks ties within each rank. Replaces
+  /// `plan`'s victims with the ranked choice.
+  virtual void pick_victims(const EvictionDemand& need, EvictionPlan& plan);
 
  protected:
   /// Policy hook: called after bind() so policies can arm global timers.
@@ -174,6 +191,11 @@ class RetentionPolicy {
  private:
   BufferStore* store_ = nullptr;
   PolicyEnv* env_ = nullptr;
+  // pick_victims scratch, reused across admissions (warm evictions do not
+  // allocate).
+  std::vector<EvictionCandidate> candidates_;
+  std::vector<MessageId> ids_;
+  std::vector<DigestTable::HolderInfo> holders_;
 };
 
 }  // namespace rrmp::buffer

@@ -96,8 +96,8 @@ bool BufferStore::make_room(std::size_t incoming_bytes) {
   }
   if (need.bytes == 0 && need.entries == 0) return true;
 
-  auto apply_plan = [this, &need](const EvictionPlan& plan) {
-    for (const MessageId& victim : plan.victims) {
+  auto apply_plan = [this, &need] {
+    for (const MessageId& victim : plan_.victims) {
       if (need.bytes == 0 && need.entries == 0) break;
       const Entry* e = find(victim);
       if (e == nullptr) continue;  // plan may name already-departed ids
@@ -107,12 +107,14 @@ bool BufferStore::make_room(std::size_t incoming_bytes) {
       need.entries -= std::min<std::size_t>(need.entries, 1);
     }
   };
-  apply_plan(policy_->pick_victims(need));
+  policy_->pick_victims(need, plan_);
+  apply_plan();
   if (need.bytes != 0 || need.entries != 0) {
     // The policy's plan under-delivered (custom policies may hold entries
     // back). Fall back to the deterministic base ordering so admission
     // never fails for a message that fits an empty budget.
-    apply_plan(policy_->RetentionPolicy::pick_victims(need));
+    policy_->RetentionPolicy::pick_victims(need, plan_);
+    apply_plan();
   }
   return need.bytes == 0 && need.entries == 0;
 }
@@ -213,11 +215,6 @@ std::optional<BufferStore::EntryView> BufferStore::view(
   const Entry* e = find(id);
   if (e == nullptr) return std::nullopt;
   return view_of(*e);
-}
-
-void BufferStore::for_each_entry(
-    const std::function<void(const EntryView&)>& fn) const {
-  for (const Entry& e : entries_) fn(view_of(e));
 }
 
 BufferStore::EntryView BufferStore::view_of(const Entry& e) {

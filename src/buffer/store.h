@@ -140,8 +140,12 @@ class BufferStore {
   std::optional<EntryView> view(const MessageId& id) const;
 
   /// Visit every entry in ascending id order (deterministic). `fn` must not
-  /// mutate the store; collect ids first, then mutate.
-  void for_each_entry(const std::function<void(const EntryView&)>& fn) const;
+  /// mutate the store; collect ids first, then mutate. A template, so the
+  /// eviction ranking's per-entry visits inline and never allocate.
+  template <typename Fn>
+  void for_each_entry(Fn&& fn) const {
+    for (const Entry& e : entries_) fn(view_of(e));
+  }
 
   // --- policy-facing mutators -------------------------------------------
 
@@ -207,6 +211,7 @@ class BufferStore {
   std::vector<Entry> entries_;  // sorted by data.id: deterministic iteration
   std::size_t bytes_ = 0;
   BufferStats stats_;
+  EvictionPlan plan_;  // make_room's plan, reused across admissions
 };
 
 }  // namespace rrmp::buffer

@@ -24,11 +24,14 @@
 // return identical plans for identical state.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <map>
 #include <sstream>
 #include <vector>
 
 #include "buffer/factory.h"
+#include "buffer/hash_based.h"
 #include "proto/codec.h"
 #include "rrmp/flow_control.h"
 #include "test_env.h"
@@ -190,8 +193,9 @@ class StoreFuzzer {
       // store + digest state).
       EvictionDemand need{static_cast<std::size_t>(op_rng_.uniform_int(0, 256)),
                           static_cast<std::size_t>(op_rng_.uniform_int(0, 3))};
-      EvictionPlan a = store_->policy().pick_victims(need);
-      EvictionPlan b = store_->policy().pick_victims(need);
+      EvictionPlan a, b;
+      store_->policy().pick_victims(need, a);
+      store_->policy().pick_victims(need, b);
       ASSERT_EQ(a.victims, b.victims);
     }
   }
@@ -464,6 +468,237 @@ TEST(BufferPropertyTest, CoordinatedShedsRequireAdvertisedSoleCopy) {
   ASSERT_EQ(sheds.size(), 1u);  // no new shed
   EXPECT_EQ(store->stats().evicted, 1u);
   EXPECT_FALSE(store->has(MessageId{1, 2}));
+}
+
+// ---------------------------------------------------------------------------
+// Differential layer for the digest ranking path. DigestTable keeps each
+// peer's advertisement in canonical form and answers queries by binary
+// search (single ids) or one merge walk per peer (holder_infos); the oracle
+// below is the original representation — the raw ranges exactly as
+// received — queried by a linear scan of every range of every peer. Every
+// answer, and the eviction plan built from them, must agree.
+
+/// The linear-scan reference: raw advertisements, no canonicalisation.
+class LinearScanOracle {
+ public:
+  void update(MemberId peer, const std::vector<proto::DigestRange>& ranges) {
+    peers_[peer] = ranges;
+  }
+  void forget(MemberId peer) { peers_.erase(peer); }
+
+  DigestTable::HolderInfo holder_info(const MessageId& id,
+                                      MemberId self) const {
+    DigestTable::HolderInfo info;
+    std::uint64_t own = hash_score(id, self);
+    for (const auto& [peer, ranges] : peers_) {
+      for (const proto::DigestRange& r : ranges) {
+        // Overflow-safe containment: id.seq in [first_seq, first_seq+count).
+        if (r.source == id.source && id.seq >= r.first_seq &&
+            id.seq - r.first_seq < r.count) {
+          ++info.holders;
+          std::uint64_t score = hash_score(id, peer);
+          if (score < own || (score == own && peer < self)) {
+            info.keeper = false;
+          }
+          break;
+        }
+      }
+    }
+    return info;
+  }
+
+  /// The original per-id ranking of RetentionPolicy::pick_victims.
+  EvictionPlan pick_victims(const BufferStore& store, MemberId self,
+                            const EvictionDemand& need) const {
+    struct Row {
+      MessageId id;
+      std::size_t bytes;
+      TimePoint last_activity;
+      bool long_term;
+      std::size_t rank;
+    };
+    std::vector<Row> rows;
+    const std::size_t threshold = store.coordination().redundancy_threshold;
+    store.for_each_entry([&](const BufferStore::EntryView& e) {
+      std::size_t rank = 0;
+      if (store.coordination_enabled()) {
+        DigestTable::HolderInfo info = holder_info(e.id, self);
+        std::size_t replicas = 1 + info.holders;
+        if (replicas >= threshold && !info.keeper) rank = replicas;
+      }
+      rows.push_back({e.id, e.bytes, e.last_activity, e.long_term, rank});
+    });
+    auto before = [](const Row& a, const Row& b) {
+      if (a.rank != b.rank) return a.rank > b.rank;
+      if (a.long_term != b.long_term) return !a.long_term;
+      if (a.last_activity != b.last_activity) {
+        return a.last_activity < b.last_activity;
+      }
+      return a.id < b.id;
+    };
+    std::sort(rows.begin(), rows.end(), before);
+    EvictionPlan plan;
+    if (rows.empty()) return plan;
+    if (rows.front().bytes >= need.bytes && need.entries <= 1) {
+      plan.victims.push_back(rows.front().id);
+      return plan;
+    }
+    std::size_t freed_bytes = 0, freed_entries = 0;
+    for (const Row& r : rows) {
+      if (freed_bytes >= need.bytes && freed_entries >= need.entries) break;
+      plan.victims.push_back(r.id);
+      freed_bytes += r.bytes;
+      ++freed_entries;
+    }
+    return plan;
+  }
+
+ private:
+  std::map<MemberId, std::vector<proto::DigestRange>> peers_;
+};
+
+/// Seqs cluster at both ends of the space, so ranges run past UINT64_MAX.
+std::uint64_t hostile_seq(RandomEngine& rng) {
+  if (rng.uniform_int(0, 3) == 0) {
+    return UINT64_MAX - static_cast<std::uint64_t>(rng.uniform_int(0, 6));
+  }
+  return static_cast<std::uint64_t>(rng.uniform_int(0, 40));
+}
+
+/// A random advertisement, honest (what build_digest emits) or hostile:
+/// unsorted, overlapping, duplicated, zero-count, wrapping counts, and
+/// sources the querying store never holds.
+std::vector<proto::DigestRange> random_ranges(RandomEngine& rng) {
+  std::vector<proto::DigestRange> ranges;
+  if (rng.uniform_int(0, 2) == 0) {
+    // Honest: maximal ascending runs over a random id set.
+    std::vector<MessageId> held;
+    for (std::int64_t n = rng.uniform_int(0, 24); n > 0; --n) {
+      held.push_back({static_cast<MemberId>(rng.uniform_int(1, 3)),
+                      hostile_seq(rng)});
+    }
+    std::sort(held.begin(), held.end());
+    held.erase(std::unique(held.begin(), held.end()), held.end());
+    for (const MessageId& id : held) {
+      if (!ranges.empty() && ranges.back().source == id.source &&
+          ranges.back().first_seq + ranges.back().count == id.seq) {
+        ++ranges.back().count;
+      } else {
+        ranges.push_back({id.source, id.seq, 1});
+      }
+    }
+    return ranges;
+  }
+  for (std::int64_t n = rng.uniform_int(0, 8); n > 0; --n) {
+    proto::DigestRange r{static_cast<MemberId>(rng.uniform_int(1, 4)),
+                         hostile_seq(rng), 0};
+    switch (rng.uniform_int(0, 4)) {
+      case 0: r.count = 0; break;
+      case 1: r.count = UINT64_MAX - static_cast<std::uint64_t>(
+                            rng.uniform_int(0, 3)); break;
+      default: r.count = static_cast<std::uint64_t>(rng.uniform_int(1, 8));
+    }
+    ranges.push_back(r);
+    if (rng.uniform_int(0, 4) == 0) ranges.push_back(r);  // duplicate
+  }
+  rng.shuffle(ranges);
+  return ranges;
+}
+
+/// Random strictly ascending query ids over the same hostile space.
+std::vector<MessageId> random_sorted_ids(RandomEngine& rng) {
+  std::vector<MessageId> ids;
+  for (std::int64_t n = rng.uniform_int(0, 40); n > 0; --n) {
+    ids.push_back({static_cast<MemberId>(rng.uniform_int(0, 5)),
+                   hostile_seq(rng)});
+  }
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  return ids;
+}
+
+TEST(DigestDifferentialTest, QueriesMatchLinearScanOracle) {
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    RandomEngine rng(seed ^ 0xD16E57ULL);
+    DigestTable table;
+    LinearScanOracle oracle;
+    std::vector<DigestTable::HolderInfo> infos;
+    for (int round = 0; round < 6; ++round) {
+      // Churn: refreshes (re-canonicalised into existing storage), new
+      // peers, departures; some rounds leave the table empty.
+      for (std::int64_t n = rng.uniform_int(0, 6); n > 0; --n) {
+        MemberId peer = static_cast<MemberId>(rng.uniform_int(0, 9));
+        if (rng.uniform_int(0, 5) == 0) {
+          table.forget(peer);
+          oracle.forget(peer);
+        } else {
+          std::vector<proto::DigestRange> ranges = random_ranges(rng);
+          table.update(peer, 0, ranges);
+          oracle.update(peer, ranges);
+        }
+      }
+      const MemberId self = static_cast<MemberId>(rng.uniform_int(0, 9));
+      const std::vector<MessageId> ids = random_sorted_ids(rng);
+      table.holder_infos(ids, self, infos);
+      ASSERT_EQ(infos.size(), ids.size());
+      for (std::size_t i = 0; i < ids.size(); ++i) {
+        SCOPED_TRACE("id " + to_string(ids[i]) + " self " +
+                     std::to_string(self));
+        DigestTable::HolderInfo want = oracle.holder_info(ids[i], self);
+        DigestTable::HolderInfo one = table.holder_info(ids[i], self);
+        EXPECT_EQ(infos[i].holders, want.holders);
+        EXPECT_EQ(infos[i].keeper, want.keeper);
+        EXPECT_EQ(one.holders, want.holders);
+        EXPECT_EQ(one.keeper, want.keeper);
+        EXPECT_EQ(table.holders_of(ids[i]), want.holders);
+        EXPECT_EQ(table.keeper_is(ids[i], self), want.keeper);
+      }
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+}
+
+TEST(DigestDifferentialTest, EvictionPlanMatchesLinearScanOracle) {
+  for (std::uint64_t seed = 1; seed <= 120; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    RandomEngine rng(seed ^ 0xE71C7ULL);
+    const MemberId self = static_cast<MemberId>(rng.uniform_int(0, 9));
+    FakePolicyEnv env(/*region_size=*/10, self, seed);
+    CoordinationParams coord;
+    coord.enabled = seed % 8 != 0;  // the uncoordinated plan is covered too
+    coord.redundancy_threshold =
+        static_cast<std::size_t>(rng.uniform_int(0, 4));
+    auto store = make_store(BufferEverythingParams{}, BufferBudget{}, coord);
+    store->bind(&env);
+    LinearScanOracle oracle;
+    // Entries with varied sizes, activity clocks and phases, so every
+    // tie-break level of the order is exercised.
+    for (std::int64_t n = rng.uniform_int(0, 40); n > 0; --n) {
+      MessageId id{static_cast<MemberId>(rng.uniform_int(1, 3)),
+                   hostile_seq(rng)};
+      store->store(proto::Data{
+          id, std::vector<std::uint8_t>(
+                  static_cast<std::size_t>(rng.uniform_int(1, 64)), 0x3C)});
+      if (rng.uniform_int(0, 3) == 0) store->promote_long_term(id);
+      if (rng.uniform_int(0, 1) == 0) env.advance(Duration::millis(1));
+    }
+    for (std::int64_t n = rng.uniform_int(0, 9); n > 0; --n) {
+      MemberId peer = static_cast<MemberId>(rng.uniform_int(0, 9));
+      std::vector<proto::DigestRange> ranges = random_ranges(rng);
+      store->digests().update(peer, 0, ranges);
+      oracle.update(peer, ranges);
+    }
+    EvictionPlan plan;
+    for (int q = 0; q < 8; ++q) {
+      EvictionDemand need{static_cast<std::size_t>(rng.uniform_int(0, 400)),
+                          static_cast<std::size_t>(rng.uniform_int(0, 6))};
+      store->policy().pick_victims(need, plan);
+      EXPECT_EQ(plan.victims, oracle.pick_victims(*store, self, need).victims)
+          << "demand " << need.bytes << " B / " << need.entries << " entries";
+    }
+    if (::testing::Test::HasFailure()) return;
+  }
 }
 
 TEST(FlowControlPropertyTest, RandomizedFeedbackPreservesWindowInvariants) {

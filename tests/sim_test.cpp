@@ -3,7 +3,8 @@
 // small-buffer optimization (including allocation-count assertions that
 // schedule/fire/cancel is heap-free for inline captures, both on the raw
 // simulator and on the protocol's timer paths: IHost, UdpBus, and a buffer
-// policy's environment inside an Endpoint).
+// policy's environment inside an Endpoint; and that a BufferStore at its
+// budget evicts, and refreshes neighbour digests, without allocating).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,9 +14,11 @@
 #include <stdexcept>
 #include <vector>
 
+#include "buffer/factory.h"
 #include "harness/cluster.h"
 #include "net/udp_host.h"
 #include "sim/simulator.h"
+#include "test_env.h"
 
 // Global allocation counter: counts every operator-new in this test binary
 // so AllocationFree* tests can assert the schedule/fire path stays off the
@@ -494,6 +497,85 @@ TEST(AllocationFreeTest, TwoPhaseTimersThroughEndpointPolicyEnvAreHeapFree) {
   EXPECT_TRUE(store.has(kept));
   EXPECT_EQ(allocs, 0u) << "allocations per timer: "
                         << static_cast<double>(allocs) / (2 * kMeasuredRounds);
+}
+
+// Budget eviction at its steady state: a member of a 32-member region holds
+// 64 entries at its budget while its 31 neighbours advertise fragmented
+// digests (runs of two, one gap per three seqs, a window shifted per peer).
+// With coordination on, every admission ranks all 64 entries against the
+// digests, evicts one, and runs the shed check; every digest refresh
+// replaces a neighbour's advertisement with one of the same size. With it
+// off, admissions take the uncoordinated single-victim path.
+class BudgetedStore {
+ public:
+  static constexpr std::size_t kBudget = 64;
+  static constexpr MemberId kPeers = 31;
+  static constexpr MemberId kSource = 100;
+
+  explicit BudgetedStore(bool coordinated = true)
+      : env_(/*region_size=*/kPeers + 1, /*self=*/0) {
+    buffer::CoordinationParams coord;
+    coord.enabled = coordinated;
+    store_ = buffer::make_store(buffer::TwoPhaseParams{},
+                                buffer::BufferBudget{0, kBudget}, coord);
+    store_->bind(&env_);
+    env_.attach_store(store_.get());
+    // Declines every shed, so each victim is evicted after the check.
+    store_->set_shed_handler([](const proto::Data&, MemberId) { return false; });
+    const std::uint64_t span = kBudget + 2 * (kWarmRounds + kMeasuredRounds);
+    for (std::uint64_t seq = 1; seq <= span; ++seq) {
+      msgs_.push_back(proto::Data{{kSource, seq},
+                                  std::vector<std::uint8_t>(64, 0x42)});
+    }
+    for (MemberId peer = 1; peer <= kPeers; ++peer) {
+      std::vector<proto::DigestRange>& ranges = digests_.emplace_back();
+      for (std::uint64_t seq = 1 + peer % 3; seq + 1 <= span; seq += 3) {
+        ranges.push_back({kSource, seq, 2});
+      }
+      refresh(peer);
+    }
+    while (next_ < kBudget) admit();
+  }
+
+  void admit() { store_->store(msgs_[next_++]); }
+  void refresh(MemberId peer) {
+    store_->digests().update(peer, 4096, digests_[peer - 1]);
+  }
+  const buffer::BufferStore& store() const { return *store_; }
+
+ private:
+  testing::FakePolicyEnv env_;
+  std::unique_ptr<buffer::BufferStore> store_;
+  std::vector<proto::Data> msgs_;
+  std::vector<std::vector<proto::DigestRange>> digests_;
+  std::size_t next_ = 0;
+};
+
+TEST(AllocationFreeTest, EvictionAtBudgetIsHeapFree) {
+  for (bool coordinated : {true, false}) {
+    SCOPED_TRACE(coordinated ? "coordinated" : "uncoordinated");
+    BudgetedStore member(coordinated);
+    ASSERT_EQ(member.store().count(), BudgetedStore::kBudget);
+    std::uint64_t evicted_before = member.store().stats().evicted;
+    std::uint64_t allocs = allocations_once_warm([&] { member.admit(); });
+    EXPECT_EQ(member.store().stats().evicted - evicted_before,
+              static_cast<std::uint64_t>(kRounds));
+    EXPECT_EQ(member.store().count(), BudgetedStore::kBudget);
+    EXPECT_EQ(allocs, 0u) << "allocations per admission: "
+                          << static_cast<double>(allocs) / kMeasuredRounds;
+  }
+}
+
+TEST(AllocationFreeTest, SameSizedDigestRefreshesAreHeapFree) {
+  BudgetedStore member;
+  MemberId peer = 0;
+  std::uint64_t allocs = allocations_once_warm([&] {
+    member.refresh(peer % BudgetedStore::kPeers + 1);
+    ++peer;
+  });
+  EXPECT_EQ(member.store().digests().peer_count(), BudgetedStore::kPeers);
+  EXPECT_EQ(allocs, 0u) << "allocations per refresh: "
+                        << static_cast<double>(allocs) / kMeasuredRounds;
 }
 
 }  // namespace
