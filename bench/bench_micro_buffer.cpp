@@ -148,7 +148,7 @@ void BM_StoreAdmitEvictCoordinated(benchmark::State& state) {
     for (std::uint64_t seq = 1 + peer % 3; seq + 1 <= kSpan; seq += 3) {
       ranges.push_back({1, seq, 2});
     }
-    store.digests().update(peer, 0, ranges);
+    store.update_digest(peer, 0, ranges);
   }
   std::vector<std::uint8_t> payload(256, 1);
   std::vector<proto::Data> msgs;
@@ -174,6 +174,46 @@ void BM_StoreAdmitEvictCoordinated(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_StoreAdmitEvictCoordinated);
+
+void BM_DigestRefreshChanged(benchmark::State& state) {
+  // The digest receive path when the advertisement changed: a 64-entry
+  // store and 31 peers advertising fragmented digests (as above), where
+  // each iteration refreshes one peer with its window shifted by one seq
+  // (alternately up and down, so the state stays bounded). The run count is
+  // unchanged but the held set differs, so every refresh rebuilds the
+  // canonical runs and recounts the entries whose held state flipped.
+  constexpr std::size_t kBudget = 64;
+  constexpr MemberId kPeers = 31;
+  constexpr std::uint64_t kSpan = 4 * kBudget;
+  BenchEnv env;
+  buffer::CoordinationParams coord;
+  coord.enabled = true;
+  buffer::BufferStore store(std::make_unique<buffer::BufferEverythingPolicy>(),
+                            buffer::BufferBudget{0, kBudget}, coord);
+  store.bind(&env);
+  std::vector<std::uint8_t> payload(256, 1);
+  for (std::uint64_t seq = 1; seq <= kBudget; ++seq) {
+    store.store(data_of(seq, payload));
+  }
+  std::vector<std::vector<proto::DigestRange>> digests(kPeers);
+  for (MemberId peer = 1; peer <= kPeers; ++peer) {
+    std::vector<proto::DigestRange>& ranges = digests[peer - 1];
+    for (std::uint64_t seq = 1 + peer % 3; seq + 1 <= kSpan; seq += 3) {
+      ranges.push_back({1, seq, 2});
+    }
+    store.update_digest(peer, 0, ranges);
+  }
+  std::uint64_t round = 0;
+  for (auto _ : state) {
+    const MemberId peer = static_cast<MemberId>(round % kPeers);
+    const bool up = (round / kPeers) % 2 == 0;
+    for (proto::DigestRange& r : digests[peer]) r.first_seq += up ? 1 : -1;
+    store.update_digest(peer + 1, 0, digests[peer]);
+    ++round;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DigestRefreshChanged);
 
 }  // namespace
 

@@ -54,28 +54,17 @@ void RetentionPolicy::pick_victims(const EvictionDemand& need,
   // known replicas) AND this member is not its designated keeper — the
   // keeper election stops all holders of a redundant entry from evicting
   // it simultaneously. Sole copies and keeper copies rank 0 (protected).
-  // Entries are visited in id order, so one batch query ranks them all in
-  // a single merge walk per advertising peer; holders_[i] is the i-th
-  // entry's.
+  // The store keeps each entry's holder count and keeper flag current, so
+  // ranking an entry reads them and costs O(1).
   const bool coordinated = store().coordination_enabled();
   const std::size_t threshold = store().coordination().redundancy_threshold;
-  if (coordinated) {
-    ids_.clear();
-    ids_.reserve(store().count());
-    store().for_each_entry(
-        [this](const BufferStore::EntryView& e) { ids_.push_back(e.id); });
-    store().digests().holder_infos(ids_, env().self(), holders_);
-  }
-  std::size_t index = 0;
   auto candidate_of = [&](const BufferStore::EntryView& e) {
     EvictionCandidate c{e.id, e.bytes, e.last_activity, e.long_term, 0};
     if (coordinated) {
       // Every entry is stored here, so our copy always counts.
-      const DigestTable::HolderInfo& info = holders_[index];
-      std::size_t replicas = 1 + info.holders;
-      if (replicas >= threshold && !info.keeper) c.replica_rank = replicas;
+      std::size_t replicas = 1 + e.holders;
+      if (replicas >= threshold && !e.keeper) c.replica_rank = replicas;
     }
-    ++index;
     return c;
   };
   // Fast path for the steady state (incoming message ~= evicted message):
@@ -94,7 +83,6 @@ void RetentionPolicy::pick_victims(const EvictionDemand& need,
     plan.victims.push_back(best.id);
     return;
   }
-  index = 0;
   candidates_.clear();
   candidates_.reserve(store().count());
   store().for_each_entry([&](const BufferStore::EntryView& e) {

@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "buffer/budget.h"
-#include "buffer/coordination.h"
 #include "common/random.h"
 #include "common/time.h"
 #include "common/types.h"
@@ -194,8 +193,6 @@ class RetentionPolicy {
   // pick_victims scratch, reused across admissions (warm evictions do not
   // allocate).
   std::vector<EvictionCandidate> candidates_;
-  std::vector<MessageId> ids_;
-  std::vector<DigestTable::HolderInfo> holders_;
 };
 
 }  // namespace rrmp::buffer

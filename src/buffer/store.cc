@@ -69,6 +69,12 @@ Admission BufferStore::insert(const proto::Data& msg, bool via_handoff) {
   e.stored_at = env_->now();
   e.last_activity = e.stored_at;
   e.via_handoff = via_handoff;
+  if (digests_.peer_count() != 0) {  // uncoordinated stores skip the lookup
+    const MemberId self = env_->self();
+    digests_.for_each_holder(msg.id, [&e, self](MemberId peer) {
+      count_holder(e, peer, self, true);
+    });
+  }
   bytes_ += size;
   ++stats_.stored;
   stats_.peak_count = std::max(stats_.peak_count, entries_.size());
@@ -133,9 +139,9 @@ void BufferStore::remove_victim(const MessageId& victim) {
   // where the recovery value is, and the receiver admits them as
   // handoff-provenance, closing the cycle.
   if (coordination_.enabled && coordination_.shed_sole_copies &&
-      shed_handler_ && digests_.holders_of(victim) == 0) {
+      shed_handler_) {
     const Entry* e = find(victim);
-    if (e != nullptr &&
+    if (e != nullptr && e->holders == 0 &&
         (!e->via_handoff ||
          env_->now() - e->stored_at >= coordination_.digest_interval)) {
       MemberId target =
@@ -150,8 +156,51 @@ void BufferStore::remove_victim(const MessageId& victim) {
 }
 
 std::size_t BufferStore::known_replicas(const MessageId& id) const {
-  if (find(id) == nullptr) return 0;
-  return 1 + digests_.holders_of(id);
+  const Entry* e = find(id);
+  return e == nullptr ? 0 : 1 + e->holders;
+}
+
+void BufferStore::update_digest(MemberId peer, std::uint64_t bytes_in_use,
+                                const std::vector<proto::DigestRange>& ranges,
+                                std::uint64_t window_outstanding) {
+  digests_.update(peer, bytes_in_use, ranges, window_outstanding, recounter());
+}
+
+void BufferStore::forget_digest(MemberId peer) {
+  digests_.forget(peer, recounter());
+}
+
+void BufferStore::retain_digests(const std::vector<MemberId>& alive) {
+  digests_.retain(alive, recounter());
+}
+
+std::size_t BufferStore::age_digests(std::size_t max_missed) {
+  return digests_.age(max_missed, recounter());
+}
+
+void BufferStore::recount(MemberId peer, const DigestTable::Runs& before,
+                          const DigestTable::Runs& after) {
+  // Entries and both run lists are id-sorted: one merge walk.
+  DigestTable::Cursor was(before);
+  DigestTable::Cursor now(after);
+  const MemberId self = env_->self();
+  for (Entry& e : entries_) {
+    const bool held = now.holds(e.data.id);
+    if (was.holds(e.data.id) != held) count_holder(e, peer, self, held);
+  }
+}
+
+void BufferStore::count_holder(Entry& e, MemberId peer, MemberId self,
+                               bool held) {
+  const bool outranked = outranks(e.data.id, peer, self);
+  if (held) {
+    ++e.holders;
+    e.outranked += outranked;
+    return;
+  }
+  assert(e.holders > 0 && (!outranked || e.outranked > 0));  // no underflow
+  --e.holders;
+  e.outranked -= outranked;
 }
 
 proto::BufferDigest BufferStore::build_digest() const {
@@ -218,8 +267,9 @@ std::optional<BufferStore::EntryView> BufferStore::view(
 }
 
 BufferStore::EntryView BufferStore::view_of(const Entry& e) {
-  return EntryView{e.data.id, e.bytes,     e.stored_at,
-                   e.last_activity, e.long_term, e.timer};
+  return EntryView{e.data.id,   e.bytes,   e.stored_at,
+                   e.last_activity, e.long_term, e.timer,
+                   e.holders,   e.outranked == 0};
 }
 
 void BufferStore::touch(const MessageId& id) {

@@ -13,7 +13,10 @@
 //   - a per-member BufferBudget with an explicit admission + eviction
 //     protocol: when an insert would exceed the budget the bound
 //     RetentionPolicy picks an EvictionPlan (deterministic tie-break by
-//     MessageId); a message larger than the whole budget is rejected.
+//     MessageId); a message larger than the whole budget is rejected;
+//   - the neighbor digest view (coordination.h) and, per entry, the replica
+//     count and keeper flag derived from it, kept exact by every digest
+//     change so the eviction ranking reads them in O(1) per entry.
 //
 // The store drives its RetentionPolicy: store()/accept_handoff() call the
 // policy's on_stored/on_handoff hooks after accounting and observer
@@ -106,13 +109,27 @@ class BufferStore {
   const CoordinationParams& coordination() const { return coordination_; }
   bool coordination_enabled() const { return coordination_.enabled; }
 
-  /// Neighbor digest view; fed by the endpoint's BufferDigest handler and
-  /// consulted by cost-aware eviction and the shed path.
-  DigestTable& digests() { return digests_; }
+  /// Neighbor digest view, read-only: every change goes through the
+  /// mutators below, which keep the entries' cached replica counts exact.
   const DigestTable& digests() const { return digests_; }
 
+  /// Fold a neighbor's BufferDigest into the view (DigestTable::update).
+  /// When the peer's held set changed, one walk of the entries against its
+  /// old and new runs adjusts the cached counts of the entries that flipped.
+  void update_digest(MemberId peer, std::uint64_t bytes_in_use,
+                     const std::vector<proto::DigestRange>& ranges,
+                     std::uint64_t window_outstanding = 0);
+  /// Drop a neighbor's advertisement (DigestTable::forget).
+  void forget_digest(MemberId peer);
+  /// Drop advertisers outside `alive` (DigestTable::retain).
+  void retain_digests(const std::vector<MemberId>& alive);
+  /// Age advertisements by one digest period (DigestTable::age); returns
+  /// the number dropped.
+  std::size_t age_digests(std::size_t max_missed);
+
   /// Approximate region replica count of a *buffered* entry: our copy plus
-  /// every neighbor currently advertising `id`. Returns 0 when `id` is not
+  /// every neighbor currently advertising `id`, read from the entry's
+  /// cached holder count in O(log entries). Returns 0 when `id` is not
   /// buffered here.
   std::size_t known_replicas(const MessageId& id) const;
 
@@ -136,6 +153,14 @@ class BufferStore {
     TimePoint last_activity;
     bool long_term = false;
     std::uint64_t timer = 0;  // pending policy timer, 0 if none
+    /// Neighbors whose digest advertises the entry (cached, kept exact by
+    /// admission and every digest mutation; equals digests().holders_of).
+    std::size_t holders = 0;
+    /// This member wins the entry's rendezvous keeper election: no
+    /// advertising neighbor outranks it (see buffer::outranks). Exactly one
+    /// member of any agreeing holder set elects itself, so redundant copies
+    /// converge to one protected copy per entry.
+    bool keeper = true;
   };
   std::optional<EntryView> view(const MessageId& id) const;
 
@@ -187,6 +212,11 @@ class BufferStore {
     /// period (anti-ping-pong damping, see remove_victim).
     bool via_handoff = false;
     std::uint64_t timer = 0;  // pending policy timer for this entry, if any
+    // Advertising neighbors, and how many of them outrank this member in
+    // the keeper election. A count, not a flag: an outranking peer may stop
+    // advertising while another one still holds the entry.
+    std::uint32_t holders = 0;
+    std::uint32_t outranked = 0;
   };
 
   Admission insert(const proto::Data& msg, bool via_handoff);
@@ -196,6 +226,20 @@ class BufferStore {
   /// Remove one budget-pressure victim: shed sole copies to a neighbor when
   /// coordination allows it, evict otherwise.
   void remove_victim(const MessageId& victim);
+  /// `peer`'s held set goes from `before` to `after`: adjust the cached
+  /// counts of the entries that flipped.
+  void recount(MemberId peer, const DigestTable::Runs& before,
+               const DigestTable::Runs& after);
+  /// recount as the on_change callback of a DigestTable mutation.
+  auto recounter() {
+    return [this](MemberId peer, const DigestTable::Runs& before,
+                  const DigestTable::Runs& after) {
+      recount(peer, before, after);
+    };
+  }
+  /// Count `peer` in (held) or out of `e`'s holders, and of its outrankers
+  /// when it beats `self` in the keeper election.
+  static void count_holder(Entry& e, MemberId peer, MemberId self, bool held);
   Entry* find(const MessageId& id);
   const Entry* find(const MessageId& id) const;
   void notify(const MessageId& id, BufferEvent ev, bool long_term);

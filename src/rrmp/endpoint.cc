@@ -649,8 +649,8 @@ void Endpoint::handle_buffer_digest(const proto::BufferDigest& d,
   // delivered post-heal after sitting in a queue) describes buffer state we
   // could not reach then and cannot trust now: generations must match.
   if (d.view_gen != view_gen_) return;
-  store_->digests().update(d.member, d.bytes_in_use, d.ranges,
-                           d.window_outstanding);
+  store_->update_digest(d.member, d.bytes_in_use, d.ranges,
+                        d.window_outstanding);
   if (cfg_.flow.enabled) {
     // The digest doubles as an occupancy report: a neighbor nearing its
     // budget sheds credit from our window before eviction pressure hits it.
@@ -1084,12 +1084,12 @@ void Endpoint::digest_tick() {
   // Departed members must stop counting as replica holders or keepers:
   // prune their advertisements against the current view, bounding the
   // staleness of any dead digest at one period.
-  store_->digests().retain(host_.local_view().members());
+  store_->retain_digests(host_.local_view().members());
   // Alive-but-severed members (a partition) survive the view prune; their
   // advertisements age out instead once no refresh arrives for a few
   // periods. A connected peer refreshes every period, so its counter
   // oscillates between 0 and 1 and aging never fires in fault-free runs.
-  store_->digests().age(cfg_.buffer_coordination.max_missed_digests);
+  store_->age_digests(cfg_.buffer_coordination.max_missed_digests);
   // Advertise even when empty: a zero bytes_in_use digest is exactly what
   // makes this member the least-loaded shed target.
   proto::BufferDigest d = store_->build_digest();

@@ -13,8 +13,9 @@
 //   - timer bookkeeping is exact: the simulator's pending count equals the
 //     number of entries with an armed policy timer, so no timer can ever
 //     fire for a departed entry and no handle leaks;
-//   - digest-derived replica counts never go negative (they are counts, not
-//     deltas) and never exceed the advertising peer set;
+//   - each entry's cached replica count and keeper flag (maintained deltas)
+//     equal a from-scratch count and election over the digest table, and
+//     never exceed the advertising peer set;
 //   - shed handoffs happen only under coordination, only for sole copies,
 //     and only toward digest-advertised peers, and are counted apart from
 //     evictions.
@@ -164,21 +165,24 @@ class StoreFuzzer {
              static_cast<std::uint64_t>(op_rng_.uniform_int(1, 40)),
              static_cast<std::uint64_t>(op_rng_.uniform_int(1, 8))});
       }
-      store_->digests().update(
+      store_->update_digest(
           peer, static_cast<std::uint64_t>(op_rng_.uniform_int(0, 4096)),
           std::move(ranges));
     } else if (dice < 94) {
-      if (op_rng_.uniform_int(0, 1) == 0) {
-        store_->digests().forget(
+      std::int64_t kind = op_rng_.uniform_int(0, 2);
+      if (kind == 0) {
+        store_->forget_digest(
             static_cast<MemberId>(op_rng_.uniform_int(1, 7)));
-      } else {
+      } else if (kind == 1) {
         // View shrink: prune advertisers against a random alive subset, as
         // the endpoint does each digest period.
         std::vector<MemberId> alive;
         for (MemberId m = 0; m < 8; ++m) {
           if (op_rng_.uniform_int(0, 3) != 0) alive.push_back(m);
         }
-        store_->digests().retain(alive);
+        store_->retain_digests(alive);
+      } else {
+        store_->age_digests(1);  // quiet peers die after two periods
       }
     } else if (dice < 96) {
       (void)store_->drain_for_handoff();
@@ -239,12 +243,22 @@ class StoreFuzzer {
     // a live entry, so no timer can fire for a departed one.
     ASSERT_EQ(env_.sim().pending_count(), timers);
 
-    // Digest-derived counts are counts, not deltas: bounded and never
-    // "negative" (a held entry always counts itself).
+    // Digest-derived counts are maintained deltas: each entry's cached
+    // holder count and keeper flag must equal a from-scratch count and
+    // election over the table, and stay bounded by the advertising peer set
+    // (a held entry always counts itself).
+    const DigestTable& table = store_->digests();
     store_->for_each_entry([&](const BufferStore::EntryView& e) {
       std::size_t replicas = store_->known_replicas(e.id);
       ASSERT_GE(replicas, 1u);
-      ASSERT_LE(replicas, 1 + store_->digests().peer_count());
+      ASSERT_LE(replicas, 1 + table.peer_count());
+      ASSERT_EQ(replicas, 1 + table.holders_of(e.id));
+      ASSERT_EQ(e.holders, table.holders_of(e.id));
+      bool keeper = true;
+      table.for_each_holder(e.id, [&](MemberId peer) {
+        if (outranks(e.id, peer, env_.self())) keeper = false;
+      });
+      ASSERT_EQ(e.keeper, keeper) << e.id;
     });
     ASSERT_EQ(store_->known_replicas(MessageId{99, 99}), 0u);
 
@@ -360,32 +374,57 @@ TEST(BufferPropertyTest, EventLogLifecyclesAreWellFormed) {
   }
 }
 
+/// A coordinated, unbudgeted store of member 0 holding `kHeld`, for the
+/// digest-pruning regressions: its cached holder count and keeper flag are
+/// what eviction reads.
+class HeldEntry {
+ public:
+  static constexpr MessageId kHeld{1, 5};
+
+  HeldEntry() : env_(/*region_size=*/4, /*self=*/0) {
+    CoordinationParams coord;
+    coord.enabled = true;
+    store_ = make_store(BufferEverythingParams{}, BufferBudget{}, coord);
+    store_->bind(&env_);
+    store_->store(make_data(kHeld.source, kHeld.seq));
+  }
+  BufferStore& store() { return *store_; }
+  std::size_t holders() const { return store_->view(kHeld)->holders; }
+  bool keeper() const { return store_->view(kHeld)->keeper; }
+
+ private:
+  FakePolicyEnv env_;
+  std::unique_ptr<BufferStore> store_;
+};
+
 TEST(BufferPropertyTest, RetainPrunesDepartedAdvertisers) {
   // Regression: a departed member's last digest must stop counting — a
   // stale advertisement would let a survivor evict what is now the
   // region's actual last copy, or elect a dead keeper (see
   // Endpoint::digest_tick, which prunes against the live view each
   // period).
-  DigestTable table;
-  MessageId id{1, 5};
-  table.update(1, 10, {{1, 5, 1}});
-  table.update(2, 20, {{1, 5, 1}});
-  table.update(3, 30, {{1, 5, 1}});
-  ASSERT_EQ(table.holders_of(id), 3u);
+  HeldEntry held;
+  BufferStore& store = held.store();
+  store.update_digest(1, 10, {{1, 5, 1}});
+  store.update_digest(2, 20, {{1, 5, 1}});
+  store.update_digest(3, 30, {{1, 5, 1}});
+  ASSERT_EQ(held.holders(), 3u);
 
-  table.retain({0, 1, 3});  // member 2 left/crashed
-  EXPECT_EQ(table.holders_of(id), 2u);
-  EXPECT_FALSE(table.has_peer(2));
-  EXPECT_TRUE(table.has_peer(1));
-  EXPECT_TRUE(table.has_peer(3));
+  store.retain_digests({0, 1, 3});  // member 2 left/crashed
+  EXPECT_EQ(held.holders(), 2u);
+  EXPECT_EQ(store.digests().holders_of(HeldEntry::kHeld), 2u);
+  EXPECT_FALSE(store.digests().has_peer(2));
+  EXPECT_TRUE(store.digests().has_peer(1));
+  EXPECT_TRUE(store.digests().has_peer(3));
   // The departed member can no longer be a shed target either.
-  EXPECT_EQ(table.least_loaded({0, 1, 2, 3}, 0), MemberId{1});
+  EXPECT_EQ(store.digests().least_loaded({0, 1, 2, 3}, 0), MemberId{1});
 
-  table.retain({0});  // everyone else gone
-  EXPECT_EQ(table.peer_count(), 0u);
-  EXPECT_EQ(table.holders_of(id), 0u);
+  store.retain_digests({0});  // everyone else gone
+  EXPECT_EQ(store.digests().peer_count(), 0u);
+  EXPECT_EQ(held.holders(), 0u);
+  EXPECT_EQ(store.known_replicas(HeldEntry::kHeld), 1u);
   // With no advertisers left, any member elects itself keeper.
-  EXPECT_TRUE(table.keeper_is(id, 0));
+  EXPECT_TRUE(held.keeper());
 }
 
 TEST(BufferPropertyTest, DigestAgingDropsSeveredAdvertisersButNotFreshOnes) {
@@ -393,42 +432,43 @@ TEST(BufferPropertyTest, DigestAgingDropsSeveredAdvertisersButNotFreshOnes) {
   // severed-but-alive peer stays in the membership view, so retain() keeps
   // its last digest forever — only the missed-refresh aging can drop it.
   // An entry must survive exactly max_missed quiet periods, die on the
-  // next, and any update() in between must reset the clock; age(0) is the
+  // next, and any refresh in between must reset the clock; age(0) is the
   // disabled configuration and touches nothing.
-  DigestTable table;
-  MessageId id{1, 5};
-  table.update(1, 10, {{1, 5, 1}});
-  table.update(2, 20, {{1, 5, 1}});
-  ASSERT_EQ(table.holders_of(id), 2u);
+  HeldEntry held;
+  BufferStore& store = held.store();
+  store.update_digest(1, 10, {{1, 5, 1}});
+  store.update_digest(2, 20, {{1, 5, 1}});
+  ASSERT_EQ(held.holders(), 2u);
 
   constexpr std::size_t kMaxMissed = 3;
   // Peer 2 refreshes every period; peer 1 goes quiet (severed).
   for (std::size_t period = 0; period < kMaxMissed; ++period) {
-    EXPECT_EQ(table.age(kMaxMissed), 0u) << "period " << period;
-    table.update(2, 20, {{1, 5, 1}});
+    EXPECT_EQ(store.age_digests(kMaxMissed), 0u) << "period " << period;
+    store.update_digest(2, 20, {{1, 5, 1}});
   }
   // Through max_missed quiet periods the entry still counts: a slow digest
   // is not a partition.
-  EXPECT_TRUE(table.has_peer(1));
-  EXPECT_EQ(table.holders_of(id), 2u);
+  EXPECT_TRUE(store.digests().has_peer(1));
+  EXPECT_EQ(held.holders(), 2u);
   // One more quiet period crosses the threshold: only the quiet peer dies.
-  EXPECT_EQ(table.age(kMaxMissed), 1u);
-  EXPECT_FALSE(table.has_peer(1));
-  EXPECT_TRUE(table.has_peer(2));
-  EXPECT_EQ(table.holders_of(id), 1u);
+  EXPECT_EQ(store.age_digests(kMaxMissed), 1u);
+  EXPECT_FALSE(store.digests().has_peer(1));
+  EXPECT_TRUE(store.digests().has_peer(2));
+  EXPECT_EQ(held.holders(), 1u);
 
   // A refresh anywhere along the way resets the clock to zero.
-  table.update(1, 10, {{1, 5, 1}});
+  store.update_digest(1, 10, {{1, 5, 1}});
   for (std::size_t period = 0; period < kMaxMissed; ++period) {
-    EXPECT_EQ(table.age(kMaxMissed), 0u);
-    table.update(1, 10, {{1, 5, 1}});
-    table.update(2, 20, {{1, 5, 1}});
+    EXPECT_EQ(store.age_digests(kMaxMissed), 0u);
+    store.update_digest(1, 10, {{1, 5, 1}});
+    store.update_digest(2, 20, {{1, 5, 1}});
   }
-  EXPECT_EQ(table.peer_count(), 2u);
+  EXPECT_EQ(store.digests().peer_count(), 2u);
+  EXPECT_EQ(held.holders(), 2u);
 
   // max_missed == 0 disables aging outright: entries live forever.
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(table.age(0), 0u);
-  EXPECT_EQ(table.peer_count(), 2u);
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(store.age_digests(0), 0u);
+  EXPECT_EQ(store.digests().peer_count(), 2u);
 }
 
 TEST(BufferPropertyTest, CoordinatedShedsRequireAdvertisedSoleCopy) {
@@ -449,8 +489,8 @@ TEST(BufferPropertyTest, CoordinatedShedsRequireAdvertisedSoleCopy) {
   });
   // Peer 2 is lighter than peer 1; neither advertises our entries, so both
   // stored entries are sole copies.
-  store->digests().update(1, 900, {});
-  store->digests().update(2, 100, {});
+  store->update_digest(1, 900, {});
+  store->update_digest(2, 100, {});
   store->store(make_data(1, 1));
   env.advance(Duration::millis(1));
   store->store(make_data(1, 2));
@@ -463,7 +503,7 @@ TEST(BufferPropertyTest, CoordinatedShedsRequireAdvertisedSoleCopy) {
 
   // Now {1,2} gains an advertised replica: the next pressure evicts it in
   // place (redundant victims are not shed) even though {1,4} is fresher.
-  store->digests().update(1, 900, {{1, 2, 1}});
+  store->update_digest(1, 900, {{1, 2, 1}});
   store->store(make_data(1, 4));
   ASSERT_EQ(sheds.size(), 1u);  // no new shed
   EXPECT_EQ(store->stats().evicted, 1u);
@@ -472,26 +512,48 @@ TEST(BufferPropertyTest, CoordinatedShedsRequireAdvertisedSoleCopy) {
 
 // ---------------------------------------------------------------------------
 // Differential layer for the digest ranking path. DigestTable keeps each
-// peer's advertisement in canonical form and answers queries by binary
-// search (single ids) or one merge walk per peer (holder_infos); the oracle
-// below is the original representation — the raw ranges exactly as
-// received — queried by a linear scan of every range of every peer. Every
-// answer, and the eviction plan built from them, must agree.
+// peer's advertisement in canonical form and answers single-id queries by
+// binary search; the store caches every entry's holder count and keeper
+// flag and updates them from digest diffs. The oracle below is the original
+// representation — the raw ranges exactly as received — queried by a linear
+// scan of every range of every peer. Every answer, every cached count, and
+// the eviction plan built from them, must agree.
 
-/// The linear-scan reference: raw advertisements, no canonicalisation.
+/// The linear-scan reference: raw advertisements, no canonicalisation,
+/// with its own aging clock.
 class LinearScanOracle {
  public:
+  struct Holders {
+    std::size_t holders = 0;  // neighbors advertising the id
+    bool keeper = true;       // self wins the rendezvous election
+  };
+
   void update(MemberId peer, const std::vector<proto::DigestRange>& ranges) {
-    peers_[peer] = ranges;
+    peers_[peer] = {ranges, 0};
   }
   void forget(MemberId peer) { peers_.erase(peer); }
+  void retain(const std::vector<MemberId>& alive) {
+    std::erase_if(peers_, [&](const auto& p) {
+      return std::find(alive.begin(), alive.end(), p.first) == alive.end();
+    });
+  }
+  void age(std::size_t max_missed) {
+    if (max_missed == 0) return;
+    for (auto it = peers_.begin(); it != peers_.end();) {
+      it = ++it->second.missed > max_missed ? peers_.erase(it) : std::next(it);
+    }
+  }
+  std::vector<MemberId> peers() const {
+    std::vector<MemberId> out;
+    for (const auto& [peer, d] : peers_) out.push_back(peer);
+    return out;
+  }
 
-  DigestTable::HolderInfo holder_info(const MessageId& id,
-                                      MemberId self) const {
-    DigestTable::HolderInfo info;
+  Holders holders(const MessageId& id, MemberId self) const {
+    Holders info;
     std::uint64_t own = hash_score(id, self);
-    for (const auto& [peer, ranges] : peers_) {
-      for (const proto::DigestRange& r : ranges) {
+    for (const auto& [peer, d] : peers_) {
+      for (const proto::DigestRange& r : d.ranges) {
         // Overflow-safe containment: id.seq in [first_seq, first_seq+count).
         if (r.source == id.source && id.seq >= r.first_seq &&
             id.seq - r.first_seq < r.count) {
@@ -522,7 +584,7 @@ class LinearScanOracle {
     store.for_each_entry([&](const BufferStore::EntryView& e) {
       std::size_t rank = 0;
       if (store.coordination_enabled()) {
-        DigestTable::HolderInfo info = holder_info(e.id, self);
+        Holders info = holders(e.id, self);
         std::size_t replicas = 1 + info.holders;
         if (replicas >= threshold && !info.keeper) rank = replicas;
       }
@@ -554,7 +616,11 @@ class LinearScanOracle {
   }
 
  private:
-  std::map<MemberId, std::vector<proto::DigestRange>> peers_;
+  struct Advertisement {
+    std::vector<proto::DigestRange> ranges;
+    std::size_t missed = 0;
+  };
+  std::map<MemberId, Advertisement> peers_;
 };
 
 /// Seqs cluster at both ends of the space, so ranges run past UINT64_MAX.
@@ -618,43 +684,142 @@ std::vector<MessageId> random_sorted_ids(RandomEngine& rng) {
 }
 
 TEST(DigestDifferentialTest, QueriesMatchLinearScanOracle) {
+  // The table's from-scratch queries (the count the store's cached numbers
+  // must equal) against the oracle. Each held-set change is also reported
+  // to on_change exactly when the canonical set differs.
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     RandomEngine rng(seed ^ 0xD16E57ULL);
     DigestTable table;
     LinearScanOracle oracle;
-    std::vector<DigestTable::HolderInfo> infos;
+    std::size_t changes = 0;
+    auto on_change = [&changes](MemberId, const DigestTable::Runs& before,
+                                const DigestTable::Runs& after) {
+      EXPECT_NE(before, after);
+      ++changes;
+    };
     for (int round = 0; round < 6; ++round) {
-      // Churn: refreshes (re-canonicalised into existing storage), new
-      // peers, departures; some rounds leave the table empty.
+      // Churn: refreshes (re-canonicalised into reused storage), new peers,
+      // departures; some rounds leave the table empty.
       for (std::int64_t n = rng.uniform_int(0, 6); n > 0; --n) {
         MemberId peer = static_cast<MemberId>(rng.uniform_int(0, 9));
         if (rng.uniform_int(0, 5) == 0) {
-          table.forget(peer);
+          table.forget(peer, on_change);
           oracle.forget(peer);
         } else {
           std::vector<proto::DigestRange> ranges = random_ranges(rng);
-          table.update(peer, 0, ranges);
+          table.update(peer, 0, ranges, 0, on_change);
           oracle.update(peer, ranges);
+          // The same held set in another wire shape changes nothing.
+          const std::size_t before = changes;
+          ranges.insert(ranges.end(), ranges.begin(), ranges.end());
+          rng.shuffle(ranges);
+          table.update(peer, 0, ranges, 0, on_change);
+          EXPECT_EQ(changes, before);
         }
       }
       const MemberId self = static_cast<MemberId>(rng.uniform_int(0, 9));
-      const std::vector<MessageId> ids = random_sorted_ids(rng);
-      table.holder_infos(ids, self, infos);
-      ASSERT_EQ(infos.size(), ids.size());
-      for (std::size_t i = 0; i < ids.size(); ++i) {
-        SCOPED_TRACE("id " + to_string(ids[i]) + " self " +
-                     std::to_string(self));
-        DigestTable::HolderInfo want = oracle.holder_info(ids[i], self);
-        DigestTable::HolderInfo one = table.holder_info(ids[i], self);
-        EXPECT_EQ(infos[i].holders, want.holders);
-        EXPECT_EQ(infos[i].keeper, want.keeper);
-        EXPECT_EQ(one.holders, want.holders);
-        EXPECT_EQ(one.keeper, want.keeper);
-        EXPECT_EQ(table.holders_of(ids[i]), want.holders);
-        EXPECT_EQ(table.keeper_is(ids[i], self), want.keeper);
+      for (const MessageId& id : random_sorted_ids(rng)) {
+        SCOPED_TRACE("id " + to_string(id) + " self " + std::to_string(self));
+        LinearScanOracle::Holders want = oracle.holders(id, self);
+        EXPECT_EQ(table.holders_of(id), want.holders);
+        bool keeper = true;
+        table.for_each_holder(id, [&](MemberId peer) {
+          if (outranks(id, peer, self)) keeper = false;
+        });
+        EXPECT_EQ(keeper, want.keeper);
       }
       if (::testing::Test::HasFailure()) return;
+    }
+  }
+}
+
+TEST(DigestDifferentialTest, StoreCountsMatchLinearScanOracle) {
+  // A coordinated store under a small budget, driven through every path
+  // that moves an entry or an advertisement: admissions (store and
+  // handoff) that evict or shed, policy discards (two-phase idle checks and
+  // TTLs as time advances, forced discards), handoff drains, changed and
+  // unchanged hostile refreshes, forget, retain and age. After every
+  // operation each entry's cached holder count and keeper flag must equal
+  // the oracle's linear scan.
+  for (std::uint64_t seed = 1; seed <= 150; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    RandomEngine rng(seed ^ 0x5C0DE5ULL);
+    const MemberId self = static_cast<MemberId>(rng.uniform_int(0, 9));
+    FakePolicyEnv env(/*region_size=*/10, self, seed);
+    CoordinationParams coord;
+    coord.enabled = true;
+    coord.digest_interval = Duration::millis(2);
+    coord.redundancy_threshold =
+        static_cast<std::size_t>(rng.uniform_int(0, 4));
+    auto store = make_store(
+        TwoPhaseParams{Duration::millis(8), 2.0, Duration::millis(40)},
+        BufferBudget{0, static_cast<std::size_t>(rng.uniform_int(3, 16))},
+        coord);
+    store->bind(&env);
+    store->set_shed_handler(
+        [&rng](const proto::Data&, MemberId) { return rng.uniform_int(0, 1); });
+    LinearScanOracle oracle;
+    std::map<MemberId, std::vector<proto::DigestRange>> sent;
+    for (int op = 0; op < 200; ++op) {
+      SCOPED_TRACE("op " + std::to_string(op));
+      const std::int64_t dice = rng.uniform_int(0, 99);
+      const MemberId peer = static_cast<MemberId>(rng.uniform_int(0, 9));
+      if (dice < 30) {
+        proto::Data msg{{static_cast<MemberId>(rng.uniform_int(1, 3)),
+                         hostile_seq(rng)},
+                        std::vector<std::uint8_t>(16, 0x3C)};
+        if (rng.uniform_int(0, 4) == 0) {
+          store->accept_handoff(msg);
+        } else {
+          store->store(msg);
+        }
+      } else if (dice < 40) {
+        env.advance(Duration::millis(rng.uniform_int(1, 12)));
+      } else if (dice < 45) {
+        store->force_discard({static_cast<MemberId>(rng.uniform_int(1, 3)),
+                              hostile_seq(rng)});
+      } else if (dice < 47) {
+        (void)store->drain_for_handoff();
+      } else if (dice < 70) {
+        sent[peer] = random_ranges(rng);
+        store->update_digest(peer, 0, sent[peer]);
+        oracle.update(peer, sent[peer]);
+      } else if (dice < 80) {
+        // Unchanged refresh: the peer's last advertisement, reshuffled
+        // (an unknown peer advertises nothing).
+        std::vector<proto::DigestRange>& ranges = sent[peer];
+        rng.shuffle(ranges);
+        store->update_digest(peer, 0, ranges);
+        oracle.update(peer, ranges);
+      } else if (dice < 86) {
+        store->forget_digest(peer);
+        oracle.forget(peer);
+      } else if (dice < 92) {
+        std::vector<MemberId> alive;
+        for (MemberId m = 0; m < 10; ++m) {
+          if (rng.uniform_int(0, 3) != 0) alive.push_back(m);
+        }
+        store->retain_digests(alive);
+        oracle.retain(alive);
+      } else {
+        const std::size_t max_missed =
+            static_cast<std::size_t>(rng.uniform_int(0, 2));
+        store->age_digests(max_missed);
+        oracle.age(max_missed);
+      }
+      std::vector<MemberId> table_peers;
+      for (MemberId m = 0; m < 10; ++m) {
+        if (store->digests().has_peer(m)) table_peers.push_back(m);
+      }
+      ASSERT_EQ(table_peers, oracle.peers());
+      store->for_each_entry([&](const BufferStore::EntryView& e) {
+        LinearScanOracle::Holders want = oracle.holders(e.id, self);
+        ASSERT_EQ(e.holders, want.holders) << e.id;
+        ASSERT_EQ(e.keeper, want.keeper) << e.id;
+        ASSERT_EQ(store->known_replicas(e.id), 1 + want.holders) << e.id;
+      });
+      if (::testing::Test::HasFatalFailure()) return;
     }
   }
 }
@@ -686,7 +851,7 @@ TEST(DigestDifferentialTest, EvictionPlanMatchesLinearScanOracle) {
     for (std::int64_t n = rng.uniform_int(0, 9); n > 0; --n) {
       MemberId peer = static_cast<MemberId>(rng.uniform_int(0, 9));
       std::vector<proto::DigestRange> ranges = random_ranges(rng);
-      store->digests().update(peer, 0, ranges);
+      store->update_digest(peer, 0, ranges);
       oracle.update(peer, ranges);
     }
     EvictionPlan plan;

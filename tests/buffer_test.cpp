@@ -287,8 +287,8 @@ TEST(BufferBudgetTest, ShedHandoffsCountedSeparatelyFromEvictions) {
     events.emplace_back(id, ev);
   });
 
-  store->digests().update(2, 0, {});  // an empty neighbor: the shed target
-  store->store(make_data(1, 1));      // sole copy
+  store->update_digest(2, 0, {});  // an empty neighbor: the shed target
+  store->store(make_data(1, 1));   // sole copy
   env.advance(Duration::millis(1));
   store->store(make_data(1, 2));
   store->store(make_data(1, 3));  // pressure: sole-copy LRU {1,1} sheds
@@ -299,8 +299,8 @@ TEST(BufferBudgetTest, ShedHandoffsCountedSeparatelyFromEvictions) {
                          std::pair<MessageId, BufferEvent>{
                              {1, 1}, BufferEvent::kShedHandoff}) == 1);
 
-  store->digests().update(2, 0, {{1, 2, 1}});  // {1,2} now redundant
-  store->store(make_data(1, 4));               // pressure: evicts {1,2}
+  store->update_digest(2, 0, {{1, 2, 1}});  // {1,2} now redundant
+  store->store(make_data(1, 4));            // pressure: evicts {1,2}
   EXPECT_EQ(store->stats().shed, 1u);     // unchanged
   EXPECT_EQ(store->stats().evicted, 1u);  // the lost departure
   EXPECT_EQ(shed_sends, 1u);
@@ -339,7 +339,7 @@ TEST(BufferBudgetTest, ShedFallsBackToEvictionWithoutTargetOrHandler) {
 
   // A handler that declines (transport down) falls back the same way.
   store->set_shed_handler([](const proto::Data&, MemberId) { return false; });
-  store->digests().update(2, 0, {});
+  store->update_digest(2, 0, {});
   env.advance(Duration::millis(2));
   store->store(make_data(1, 3));
   EXPECT_EQ(store->stats().evicted, 2u);
@@ -392,9 +392,9 @@ TEST(BufferBudgetTest, ShedTargetDepartedCountsEvictedNotShed) {
     return true;
   });
 
-  store->digests().update(2, 0, {});  // peer 2: the obvious shed target...
-  env.set_members({0, 1, 3});         // ...which has already departed
-  store->store(make_data(1, 1));      // sole copy
+  store->update_digest(2, 0, {});  // peer 2: the obvious shed target...
+  env.set_members({0, 1, 3});      // ...which has already departed
+  store->store(make_data(1, 1));   // sole copy
   env.advance(Duration::millis(2));   // past the anti-ping-pong age gate
   store->store(make_data(1, 2));      // pressure: {1,1} must go
   EXPECT_EQ(offered, 0u);
@@ -402,7 +402,7 @@ TEST(BufferBudgetTest, ShedTargetDepartedCountsEvictedNotShed) {
   EXPECT_EQ(store->stats().shed, 0u);
 
   // Once a *live* alternative advertises space, shedding resumes.
-  store->digests().update(3, 0, {});
+  store->update_digest(3, 0, {});
   env.advance(Duration::millis(2));
   store->store(make_data(1, 3));
   EXPECT_EQ(offered, 1u);

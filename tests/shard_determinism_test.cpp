@@ -586,7 +586,7 @@ TEST(ShardDeterminism, SoleCopyProtectedWhenRedundantVictimAvailable) {
   store->store(make_data(1, 1));  // sole copy, least recently active
   env.advance(Duration::millis(1));
   store->store(make_data(1, 2));  // fresher, but advertised by neighbor 3
-  store->digests().update(3, 50, {{1, 2, 1}});
+  store->update_digest(3, 50, {{1, 2, 1}});
   ASSERT_EQ(store->known_replicas(MessageId{1, 2}), 2u);
 
   store->store(make_data(1, 3));  // pressure: must evict the redundant {1,2}
@@ -604,7 +604,7 @@ TEST(ShardDeterminism, SoleCopyProtectedWhenRedundantVictimAvailable) {
   plain->store(make_data(1, 1));
   env2.advance(Duration::millis(1));
   plain->store(make_data(1, 2));
-  plain->digests().update(3, 50, {{1, 2, 1}});  // known but ignored: disabled
+  plain->update_digest(3, 50, {{1, 2, 1}});  // known but ignored: disabled
   plain->store(make_data(1, 3));
   EXPECT_FALSE(plain->has(MessageId{1, 1}));
   EXPECT_TRUE(plain->has(MessageId{1, 2}));

@@ -502,10 +502,10 @@ TEST(AllocationFreeTest, TwoPhaseTimersThroughEndpointPolicyEnvAreHeapFree) {
 // Budget eviction at its steady state: a member of a 32-member region holds
 // 64 entries at its budget while its 31 neighbours advertise fragmented
 // digests (runs of two, one gap per three seqs, a window shifted per peer).
-// With coordination on, every admission ranks all 64 entries against the
-// digests, evicts one, and runs the shed check; every digest refresh
-// replaces a neighbour's advertisement with one of the same size. With it
-// off, admissions take the uncoordinated single-victim path.
+// With coordination on, every admission ranks all 64 entries by their
+// cached replica counts, evicts one, and runs the shed check; every digest
+// refresh replaces a neighbour's advertisement with one of the same size.
+// With it off, admissions take the uncoordinated single-victim path.
 class BudgetedStore {
  public:
   static constexpr std::size_t kBudget = 64;
@@ -539,7 +539,13 @@ class BudgetedStore {
 
   void admit() { store_->store(msgs_[next_++]); }
   void refresh(MemberId peer) {
-    store_->digests().update(peer, 4096, digests_[peer - 1]);
+    store_->update_digest(peer, 4096, digests_[peer - 1]);
+  }
+  /// Refresh `peer` with its window shifted up by one seq: the same number
+  /// of runs, but a different held set.
+  void shift(MemberId peer) {
+    for (proto::DigestRange& r : digests_[peer - 1]) ++r.first_seq;
+    refresh(peer);
   }
   const buffer::BufferStore& store() const { return *store_; }
 
@@ -574,6 +580,34 @@ TEST(AllocationFreeTest, SameSizedDigestRefreshesAreHeapFree) {
     ++peer;
   });
   EXPECT_EQ(member.store().digests().peer_count(), BudgetedStore::kPeers);
+  EXPECT_EQ(allocs, 0u) << "allocations per refresh: "
+                        << static_cast<double>(allocs) / kMeasuredRounds;
+}
+
+TEST(AllocationFreeTest, ChangedDigestRefreshesAreHeapFree) {
+  // Every refresh shifts one neighbour's window by one seq, so each one
+  // changes the held set: the store walks its 64 entries against the old
+  // and new runs and recounts the entries that flipped.
+  BudgetedStore member;
+  auto holders = [&member] {
+    std::vector<std::size_t> out;
+    member.store().for_each_entry(
+        [&out](const buffer::BufferStore::EntryView& e) {
+          out.push_back(e.holders);
+        });
+    return out;
+  };
+  const std::vector<std::size_t> before = holders();
+  MemberId peer = 0;
+  std::uint64_t allocs = allocations_once_warm([&] {
+    member.shift(peer % BudgetedStore::kPeers + 1);
+    ++peer;
+  });
+  EXPECT_NE(holders(), before);
+  member.store().for_each_entry([&member](
+                                    const buffer::BufferStore::EntryView& e) {
+    EXPECT_EQ(e.holders, member.store().digests().holders_of(e.id));
+  });
   EXPECT_EQ(allocs, 0u) << "allocations per refresh: "
                         << static_cast<double>(allocs) / kMeasuredRounds;
 }
