@@ -1,6 +1,6 @@
 // Open-addressing hash map with tombstone deletion, tuned for the protocol
-// hot paths that previously sat on std::unordered_map (per-message recovery
-// tasks, waiter lists). One flat slot array, linear probing, power-of-two
+// hot path that previously sat on std::unordered_map (the Endpoint's
+// per-message state table). One flat slot array, linear probing, power-of-two
 // capacity: no per-node allocation, no bucket pointer chasing, and erase is
 // a tombstone write — at a million members the node churn of the standard
 // containers dominates the recovery path's cost.
@@ -15,6 +15,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -31,19 +32,22 @@ class FlatMap {
  public:
   using value_type = std::pair<K, V>;
 
-  class iterator {
+  template <bool Const>
+  class basic_iterator {
+    using Map = std::conditional_t<Const, const FlatMap, FlatMap>;
+
    public:
-    iterator(FlatMap* map, std::size_t idx) : map_(map), idx_(idx) {
+    basic_iterator(Map* map, std::size_t idx) : map_(map), idx_(idx) {
       skip_to_full();
     }
-    value_type& operator*() const { return map_->slots_[idx_].kv; }
-    value_type* operator->() const { return &map_->slots_[idx_].kv; }
-    iterator& operator++() {
+    auto& operator*() const { return map_->slots_[idx_].kv; }
+    auto* operator->() const { return &map_->slots_[idx_].kv; }
+    basic_iterator& operator++() {
       ++idx_;
       skip_to_full();
       return *this;
     }
-    friend bool operator==(const iterator& a, const iterator& b) {
+    friend bool operator==(const basic_iterator& a, const basic_iterator& b) {
       return a.idx_ == b.idx_;
     }
 
@@ -54,17 +58,23 @@ class FlatMap {
         ++idx_;
       }
     }
-    FlatMap* map_;
+    Map* map_;
     std::size_t idx_;
   };
+  using iterator = basic_iterator<false>;
+  using const_iterator = basic_iterator<true>;
 
   FlatMap() = default;
 
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
+  /// Slot count (live + tombstoned + empty); 0 before the first insert.
+  std::size_t capacity() const { return states_.size(); }
 
   iterator begin() { return iterator(this, 0); }
   iterator end() { return iterator(this, states_.size()); }
+  const_iterator begin() const { return const_iterator(this, 0); }
+  const_iterator end() const { return const_iterator(this, states_.size()); }
 
   iterator find(const K& key) {
     std::size_t idx = find_index(key);
@@ -116,7 +126,7 @@ class FlatMap {
 
  private:
   static constexpr std::size_t kNotFound = static_cast<std::size_t>(-1);
-  static constexpr std::size_t kMinCapacity = 16;
+  static constexpr std::size_t kMinCapacity = 8;
 
   std::size_t mask() const { return states_.size() - 1; }
 
@@ -133,9 +143,12 @@ class FlatMap {
 
   V* insert_new(const K& key) {
     // Rehash when full + tombstoned slots pass 70% occupancy, so probe
-    // chains stay short and a churn-heavy workload reclaims its tombstones.
+    // chains stay short. Capacity doubles only when live entries fill half
+    // of it; otherwise the rehash just reclaims tombstones in place, so a
+    // churn-heavy workload with a steady live set never grows the table.
     if (states_.empty() || (used_ + 1) * 10 >= states_.size() * 7) {
-      rehash(std::max(kMinCapacity, states_.size() * 2));
+      std::size_t cap = states_.size();
+      rehash(std::max(kMinCapacity, (size_ + 1) * 2 >= cap ? cap * 2 : cap));
     }
     std::size_t idx = Hash{}(key) & mask();
     while (states_[idx] == kFull) idx = (idx + 1) & mask();
@@ -150,7 +163,7 @@ class FlatMap {
   void rehash(std::size_t new_capacity) {
     std::vector<Slot> old_slots = std::move(slots_);
     std::vector<std::uint8_t> old_states = std::move(states_);
-    slots_.assign(new_capacity, Slot{});
+    slots_ = std::vector<Slot>(new_capacity);
     states_.assign(new_capacity, kEmpty);
     used_ = size_;
     for (std::size_t i = 0; i < old_states.size(); ++i) {

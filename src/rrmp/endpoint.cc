@@ -139,18 +139,16 @@ void Endpoint::halt() {
   store_->cancel_entry_timers();
   send_queue_.clear();
   flow_unacked_.clear();
-  for (auto& [id, task] : recoveries_) {
-    cancel(task.local_timer);
-    cancel(task.remote_timer);
+  for (auto& [id, st] : messages_) {
+    cancel(st.local_timer);
+    cancel(st.remote_timer);
+    if (MessageExtras* x = st.extras.get()) {
+      cancel(x->search_timer);
+      cancel(x->relay_timer);
+      cancel(x->reply_timer);
+    }
   }
-  recoveries_.clear();
-  for (auto& [id, task] : searches_) cancel(task.timer);
-  searches_.clear();
-  for (auto& [id, relay] : pending_relays_) cancel(relay.timer);
-  pending_relays_.clear();
-  for (auto& [id, reply] : pending_replies_) cancel(reply.timer);
-  pending_replies_.clear();
-  waiters_.clear();
+  messages_.clear();
   if (gossip_fd_) gossip_fd_->stop();
 }
 
@@ -187,7 +185,7 @@ MessageId Endpoint::multicast(std::vector<std::uint8_t> payload) {
     MessageId id{self(), ++send_seq_};
     next_app_seq_ = send_seq_;
     proto::Data d{id, std::move(payload)};
-    accept(d, /*from_remote_region=*/false);
+    accept(d);
     host_.ip_multicast(proto::Message{d});
     if (session_timer_ == kNoTimer) {
       session_timer_ =
@@ -224,7 +222,7 @@ void Endpoint::transmit_frame(proto::Data d) {
   // and repairs carry the core form, and the piggyback block is feedback
   // overhead, not stream backlog.
   std::size_t bytes = proto::encoded_size(proto::Message{d});
-  accept(d, /*from_remote_region=*/false);
+  accept(d);
   flow_unacked_.push_back(d);
   if (cfg_.flow.piggyback && host_.local_view().size() > 1) {
     // Attach our receive cursors to the wire copy only — the stored and
@@ -272,39 +270,12 @@ void Endpoint::session_tick() {
 
 void Endpoint::handle_message(const proto::Message& msg, MemberId from) {
   if (!active_) return;
-  std::visit(
-      [this, from](const auto& m) {
-        using T = std::decay_t<decltype(m)>;
-        if constexpr (std::is_same_v<T, proto::Data>) handle_data(m, from);
-        if constexpr (std::is_same_v<T, proto::Session>) handle_session(m, from);
-        if constexpr (std::is_same_v<T, proto::LocalRequest>)
-          handle_local_request(m, from);
-        if constexpr (std::is_same_v<T, proto::RemoteRequest>)
-          handle_remote_request(m, from);
-        if constexpr (std::is_same_v<T, proto::Repair>) handle_repair(m, from);
-        if constexpr (std::is_same_v<T, proto::RegionalRepair>)
-          handle_regional_repair(m, from);
-        if constexpr (std::is_same_v<T, proto::SearchRequest>)
-          handle_search_request(m, from);
-        if constexpr (std::is_same_v<T, proto::SearchFound>)
-          handle_search_found(m, from);
-        if constexpr (std::is_same_v<T, proto::Handoff>) handle_handoff(m, from);
-        if constexpr (std::is_same_v<T, proto::Gossip>) handle_gossip(m, from);
-        if constexpr (std::is_same_v<T, proto::History>) handle_history(m, from);
-        if constexpr (std::is_same_v<T, proto::BufferDigest>)
-          handle_buffer_digest(m, from);
-        if constexpr (std::is_same_v<T, proto::Shed>) handle_shed(m, from);
-        if constexpr (std::is_same_v<T, proto::CreditAck>)
-          handle_credit_ack(m, from);
-        if constexpr (std::is_same_v<T, proto::Escalate>)
-          handle_escalate(m, from);
-      },
-      msg);
+  std::visit([this, from](const auto& m) { handle(m, from); }, msg);
 }
 
 // ------------------------------------------------------------ reception ----
 
-bool Endpoint::accept(const proto::Data& d, bool from_remote_region) {
+bool Endpoint::accept(const proto::Data& d) {
   SequenceTracker& tr = tracker(d.id.source);
   if (tr.has(d.id.seq)) return false;
 
@@ -314,68 +285,137 @@ bool Endpoint::accept(const proto::Data& d, bool from_remote_region) {
     start_recovery(MessageId{d.id.source, gap});
   }
 
-  // If we were recovering this message, the recovery just succeeded.
-  auto rec = recoveries_.find(d.id);
-  if (rec != recoveries_.end()) {
-    metrics().on_recovered(self(), d.id, host_.now(),
-                           host_.now() - rec->second.started);
-    finish_recovery(d.id);
+  if (MessageState* st = find_state(d.id)) {
+    // If we were recovering this message, the recovery just succeeded.
+    if (st->recovering) {
+      metrics().on_recovered(self(), d.id, host_.now(),
+                             host_.now() - st->started);
+      cancel(st->local_timer);
+      cancel(st->remote_timer);
+      st->recovering = false;
+    }
+    // Probes die with the recovery; we can answer future searches again.
+    if (st->extras) {
+      st->extras->probes.clear();
+      st->extras->given_up_at.reset();
+    }
   }
 
   store_->store(d);
-  search_given_up_.erase(d.id);  // we can answer future searches again
   metrics().on_delivered(self(), d.id, host_.now());
   if (delivery_handler_) delivery_handler_(d);
 
-  serve_waiters(d);
-  satisfy_searches(d);
-  (void)from_remote_region;  // relaying decisions are made by handle_repair
+  if (MessageExtras* x = find_extras(d.id)) {
+    for (MemberId w : x->waiters) {
+      metrics().on_repair_sent(self(), d.id, /*remote=*/true, host_.now());
+      host_.send(w, proto::Message{proto::Repair{d.id, d.payload, true}});
+    }
+    x->waiters.clear();
+    if (x->searching) {
+      std::vector<MemberId> all = x->carry;
+      for (MemberId m : x->own) {
+        if (!contains(all, m)) all.push_back(m);
+      }
+      for (MemberId rr : all) {
+        metrics().on_repair_sent(self(), d.id, /*remote=*/true, host_.now());
+        host_.send(rr, proto::Message{proto::Repair{d.id, d.payload, true}});
+      }
+      close_search(*x);
+      announce_found(d.id);  // stop everyone else still searching for us
+    }
+  }
+  release_if_idle(d.id);
   return true;
 }
 
-void Endpoint::serve_waiters(const proto::Data& d) {
-  auto it = waiters_.find(d.id);
-  if (it == waiters_.end()) return;
-  for (MemberId w : it->second) {
-    metrics().on_repair_sent(self(), d.id, /*remote=*/true, host_.now());
-    host_.send(w, proto::Message{proto::Repair{d.id, d.payload, true}});
-  }
-  waiters_.erase(it);
+// ----------------------------------------------------- per-message state ----
+
+Endpoint::MessageState* Endpoint::find_state(const MessageId& id) {
+  auto it = messages_.find(id);
+  return it == messages_.end() ? nullptr : &it->second;
 }
 
-void Endpoint::satisfy_searches(const proto::Data& d) {
-  auto it = searches_.find(d.id);
-  if (it == searches_.end()) return;
-  SearchTask& task = it->second;
-  std::vector<MemberId> all = task.carry;
-  for (MemberId m : task.own) {
-    if (!contains(all, m)) all.push_back(m);
+Endpoint::MessageExtras* Endpoint::find_extras(const MessageId& id) {
+  MessageState* st = find_state(id);
+  return st == nullptr ? nullptr : st->extras.get();
+}
+
+Endpoint::MessageExtras& Endpoint::extras(const MessageId& id) {
+  // One cache line per table slot: every recovering endpoint of a
+  // 10^6-member run carries a slot array, so the rare fields stay out of line.
+  static_assert(sizeof(std::pair<MessageId, MessageState>) <= 64);
+  MessageState& st = state(id);
+  if (!st.extras) st.extras = std::make_unique<MessageExtras>();
+  return *st.extras;
+}
+
+Endpoint::MessageState& Endpoint::state(const MessageId& id) {
+  if (MessageState* st = find_state(id)) return *st;
+  // Entries that hold only cache stamps are released here, once expired:
+  // one walk each time the table has doubled since the last.
+  if (messages_.size() >= 2 * sweep_mark_) {
+    for (auto it = messages_.begin(); it != messages_.end(); ++it) {
+      if (idle(it->second)) messages_.erase(it);
+    }
+    sweep_mark_ = std::max(messages_.size(), kMinSweepMark);
   }
-  for (MemberId rr : all) {
-    metrics().on_repair_sent(self(), d.id, /*remote=*/true, host_.now());
-    host_.send(rr, proto::Message{proto::Repair{d.id, d.payload, true}});
+  return messages_[id];
+}
+
+bool Endpoint::idle(const MessageState& st) const {
+  if (st.recovering) return false;
+  const MessageExtras* x = st.extras.get();
+  if (x == nullptr) return true;
+  // Each stamp expires under the same comparison its lookup uses.
+  TimePoint now = host_.now();
+  Duration ttl = cfg_.search_cache_ttl;
+  return !x->searching && !x->relay && !x->replying && x->waiters.empty() &&
+         (!x->holder_at || now - *x->holder_at > ttl) &&
+         (!x->given_up_at || now - *x->given_up_at > ttl) &&
+         (!x->announced_at ||
+          now - *x->announced_at >= host_.rtt_estimate(self()));
+}
+
+void Endpoint::release_if_idle(const MessageId& id) {
+  auto it = messages_.find(id);
+  if (it != messages_.end() && idle(it->second)) messages_.erase(it);
+}
+
+void Endpoint::wait_and_recover(const MessageId& id, MemberId requester) {
+  std::vector<MemberId>& w = extras(id).waiters;
+  if (!contains(w, requester)) w.push_back(requester);
+  for (std::uint64_t gap : tracker(id.source).observe_hint(id.seq)) {
+    start_recovery(MessageId{id.source, gap});
   }
-  cancel(task.timer);
-  searches_.erase(it);
-  // Stop everyone else still searching on our behalf.
-  announce_found(d.id);
+}
+
+std::size_t Endpoint::active_recoveries() const {
+  std::size_t n = 0;
+  for (const auto& [id, st] : messages_) n += st.recovering;
+  return n;
+}
+
+std::size_t Endpoint::active_searches() const {
+  std::size_t n = 0;
+  for (const auto& [id, st] : messages_) n += st.extras && st.extras->searching;
+  return n;
 }
 
 // ------------------------------------------------------------- handlers ----
 
-void Endpoint::handle_data(const proto::Data& d, MemberId from) {
+void Endpoint::handle(const proto::Data& d, MemberId from) {
   if (!d.cursors.empty()) {
     handle_piggyback(d.cursors, from);
     // Strip the piggyback block before storing: buffered, handoff, and
     // repair copies are always the core frame (payload is shared, so this
     // copy is cheap).
-    accept(proto::Data{d.id, d.payload}, /*from_remote_region=*/false);
+    accept(proto::Data{d.id, d.payload});
     return;
   }
-  accept(d, /*from_remote_region=*/false);
+  accept(d);
 }
 
-void Endpoint::handle_session(const proto::Session& s, MemberId from) {
+void Endpoint::handle(const proto::Session& s, MemberId from) {
   if (!s.cursors.empty()) handle_piggyback(s.cursors, from);
   if (s.source == self()) return;
   for (std::uint64_t gap : tracker(s.source).observe_session(s.highest_seq)) {
@@ -405,9 +445,7 @@ void Endpoint::handle_piggyback(
   drain_send_queue();
 }
 
-void Endpoint::handle_local_request(const proto::LocalRequest& r,
-                                    MemberId from) {
-  (void)from;
+void Endpoint::handle(const proto::LocalRequest& r, MemberId) {
   metrics().on_request_received(self(), r.id, /*remote=*/false, host_.now());
   store_->on_request_seen(r.id);  // feedback for short-term buffering (§3.1)
   if (std::optional<proto::Data> d = store_->get(r.id)) {
@@ -435,34 +473,10 @@ void Endpoint::handle_local_request(const proto::LocalRequest& r,
   // that may exist nowhere; the requester's own retries handle it.
 }
 
-void Endpoint::handle_remote_request(const proto::RemoteRequest& r,
-                                     MemberId from) {
-  (void)from;
-  metrics().on_request_received(self(), r.id, /*remote=*/true, host_.now());
-  store_->on_request_seen(r.id);
-  // Case 1 (§3.3): still buffered — answer immediately.
-  if (std::optional<proto::Data> d = store_->get(r.id)) {
-    metrics().on_repair_sent(self(), r.id, /*remote=*/true, host_.now());
-    host_.send(r.requester,
-               proto::Message{proto::Repair{r.id, std::move(d->payload), true}});
-    return;
-  }
-  SequenceTracker& tr = tracker(r.id.source);
-  // Case 2: never received — record the waiter and relay once we have it.
-  if (!tr.has(r.id.seq)) {
-    std::vector<MemberId>& w = waiters_[r.id];
-    if (!contains(w, r.requester)) w.push_back(r.requester);
-    for (std::uint64_t gap : tr.observe_hint(r.id.seq)) {
-      start_recovery(MessageId{r.id.source, gap});
-    }
-    return;
-  }
+void Endpoint::handle(const proto::RemoteRequest& r, MemberId) {
+  if (answer_or_wait(r.id, r.requester)) return;
   // Case 3: received but discarded — find a bufferer.
-  if (MemberId holder = cached_holder(r.id); holder != kInvalidMember) {
-    // A recent search already located a bufferer; point it at the requester.
-    host_.send(holder, proto::Message{proto::RemoteRequest{r.id, r.requester}});
-    return;
-  }
+  if (redirect_to_holder(r.id, r.requester)) return;
   if (cfg_.search_strategy == Config::SearchStrategy::kMulticastQuery) {
     // Rejected alternative (§3.3): multicast the request; bufferers answer
     // after a randomized back-off.
@@ -483,54 +497,49 @@ void Endpoint::handle_remote_request(const proto::RemoteRequest& r,
     }
     // Fall through to random search if the set is just us (we discarded).
   }
-  start_search(r.id, r.requester);
+  start_search(r.id, r.requester, /*direct=*/true);
 }
 
-void Endpoint::handle_escalate(const proto::Escalate& e, MemberId from) {
-  (void)from;
+void Endpoint::handle(const proto::Escalate& e, MemberId) {
   if (!cfg_.hierarchy.enabled) return;  // config mismatch: drop the frame
   if (e.hop >= cfg_.hierarchy.max_hops) return;  // runaway-forwarding guard
-  metrics().on_request_received(self(), e.id, /*remote=*/true, host_.now());
-  store_->on_request_seen(e.id);
-  // Still buffered: repair the child representative; its regional relay
-  // then covers its whole sub-region with one multicast.
-  if (std::optional<proto::Data> d = store_->get(e.id)) {
-    metrics().on_repair_sent(self(), e.id, /*remote=*/true, host_.now());
-    host_.send(e.requester,
-               proto::Message{proto::Repair{e.id, std::move(d->payload), true}});
-    return;
-  }
-  SequenceTracker& tr = tracker(e.id.source);
-  if (!tr.has(e.id.seq)) {
-    // Never received: remember the child representative and recover the
-    // message ourselves, climbing one level higher with the incremented hop.
-    std::vector<MemberId>& w = waiters_[e.id];
-    if (!contains(w, e.requester)) w.push_back(e.requester);
-    for (std::uint64_t gap : tr.observe_hint(e.id.seq)) {
-      start_recovery(MessageId{e.id.source, gap});
-    }
-    if (auto it = recoveries_.find(e.id); it != recoveries_.end()) {
-      it->second.escalate_hop = std::max(it->second.escalate_hop, e.hop + 1);
+  // Still buffered: the child representative's regional relay then covers
+  // its whole sub-region with one multicast. Never received: we recover it,
+  // climbing one level higher with the incremented hop.
+  if (answer_or_wait(e.id, e.requester)) {
+    if (MessageState* st = find_state(e.id); st && st->recovering) {
+      st->escalate_hop = std::max(st->escalate_hop, e.hop + 1);
     }
     return;
   }
   // Received but discarded: same bufferer-location path as a RemoteRequest.
-  if (MemberId holder = cached_holder(e.id); holder != kInvalidMember) {
-    host_.send(holder, proto::Message{proto::RemoteRequest{e.id, e.requester}});
-    return;
-  }
-  start_search(e.id, e.requester);
+  if (redirect_to_holder(e.id, e.requester)) return;
+  start_search(e.id, e.requester, /*direct=*/true);
 }
 
-void Endpoint::handle_repair(const proto::Repair& r, MemberId from) {
+bool Endpoint::answer_or_wait(const MessageId& id, MemberId requester) {
+  metrics().on_request_received(self(), id, /*remote=*/true, host_.now());
+  store_->on_request_seen(id);
+  // Case 1 (§3.3): still buffered — answer immediately.
+  if (std::optional<proto::Data> d = store_->get(id)) {
+    metrics().on_repair_sent(self(), id, /*remote=*/true, host_.now());
+    host_.send(requester,
+               proto::Message{proto::Repair{id, std::move(d->payload), true}});
+    return true;
+  }
+  // Case 2: never received — record the waiter and relay once we have it.
+  if (tracker(id.source).has(id.seq)) return false;
+  wait_and_recover(id, requester);
+  return true;
+}
+
+void Endpoint::handle(const proto::Repair& r, MemberId from) {
   // Close the RTT sample if this repair answers one of our probes.
   if (cfg_.measure_rtt) {
-    auto probe = probes_.find(r.id);
-    if (probe != probes_.end()) {
-      auto target = probe->second.find(from);
-      if (target != probe->second.end()) {
+    if (MessageExtras* x = find_extras(r.id)) {
+      if (auto target = x->probes.find(from); target != x->probes.end()) {
         rtt_.add_sample(from, host_.now() - target->second);
-        probes_.erase(probe);
+        x->probes.clear();
       }
     }
   }
@@ -538,28 +547,24 @@ void Endpoint::handle_repair(const proto::Repair& r, MemberId from) {
   // relay.
   if (tracker(r.id.source).has(r.id.seq)) return;
   proto::Data d{r.id, r.payload};
-  accept(d, r.remote);
+  accept(d);
   if (r.remote) schedule_regional_relay(d);
 }
 
-void Endpoint::handle_regional_repair(const proto::RegionalRepair& r,
-                                      MemberId from) {
-  (void)from;
+void Endpoint::handle(const proto::RegionalRepair& r, MemberId) {
   // Another member relayed this message: our own pending relay (if any) is a
   // duplicate — suppress it (§2.2's randomized back-off scheme).
-  auto pr = pending_relays_.find(r.id);
-  if (pr != pending_relays_.end()) {
-    cancel(pr->second.timer);
-    pending_relays_.erase(pr);
+  if (MessageExtras* x = find_extras(r.id); x && x->relay) {
+    cancel(x->relay_timer);
+    x->relay.reset();
+    release_if_idle(r.id);
     metrics().on_relay_suppressed(self(), r.id, host_.now());
   }
   if (tracker(r.id.source).has(r.id.seq)) return;
-  accept(proto::Data{r.id, r.payload}, /*from_remote_region=*/false);
+  accept(proto::Data{r.id, r.payload});
 }
 
-void Endpoint::handle_search_request(const proto::SearchRequest& r,
-                                     MemberId from) {
-  (void)from;
+void Endpoint::handle(const proto::SearchRequest& r, MemberId) {
   store_->on_request_seen(r.id);
   if (cfg_.search_strategy == Config::SearchStrategy::kMulticastQuery) {
     // Back-off reply: answer only if still buffering, after U(0, unit*C).
@@ -574,75 +579,44 @@ void Endpoint::handle_search_request(const proto::SearchRequest& r,
     announce_found(r.id);
     return;
   }
-  SequenceTracker& tr = tracker(r.id.source);
-  // A completed search may have located the holder already; redirect.
-  if (tr.has(r.id.seq)) {
-    if (MemberId holder = cached_holder(r.id); holder != kInvalidMember) {
-      host_.send(holder,
-                 proto::Message{proto::RemoteRequest{r.id, r.remote_requester}});
-      return;
-    }
-  }
-  if (!tr.has(r.id.seq)) {
+  if (!tracker(r.id.source).has(r.id.seq)) {
     // Footnote 4: never received it — recover it ourselves, and remember the
     // remote requester so it is served on receipt.
-    std::vector<MemberId>& w = waiters_[r.id];
-    if (!contains(w, r.remote_requester)) w.push_back(r.remote_requester);
-    for (std::uint64_t gap : tr.observe_hint(r.id.seq)) {
-      start_recovery(MessageId{r.id.source, gap});
-    }
+    wait_and_recover(r.id, r.remote_requester);
     return;
   }
+  // A completed search may have located the holder already; redirect.
+  if (redirect_to_holder(r.id, r.remote_requester)) return;
   // Discarded here too: join the search.
-  if (search_abandoned(r.id)) return;  // we already exhausted our attempts
-  auto it = searches_.find(r.id);
-  if (it != searches_.end()) {
-    if (!contains(it->second.carry, r.remote_requester)) {
-      it->second.carry.push_back(r.remote_requester);
-    }
-    return;  // already probing; our retry timer is running
-  }
-  SearchTask task;
-  task.started = host_.now();
-  task.carry.push_back(r.remote_requester);
-  searches_.emplace(r.id, std::move(task));
-  metrics().on_search_started(self(), r.id, host_.now());
-  search_attempt(r.id);
+  start_search(r.id, r.remote_requester, /*direct=*/false);
 }
 
-void Endpoint::handle_search_found(const proto::SearchFound& f,
-                                   MemberId from) {
-  (void)from;
-  remember_holder(f.id, f.holder);
+void Endpoint::handle(const proto::SearchFound& f, MemberId) {
+  MessageExtras& x = remember_holder(f.id, f.holder);
   // Suppress our own pending back-off reply (kMulticastQuery).
-  auto pr = pending_replies_.find(f.id);
-  if (pr != pending_replies_.end()) {
-    cancel(pr->second.timer);
-    pending_replies_.erase(pr);
+  if (x.replying) {
+    cancel(x.reply_timer);
+    x.replying = false;
     metrics().on_relay_suppressed(self(), f.id, host_.now());
   }
   end_search(f.id, f.holder);
 }
 
-void Endpoint::handle_handoff(const proto::Handoff& h, MemberId from) {
-  (void)from;
+void Endpoint::handle(const proto::Handoff& h, MemberId) {
   for (const proto::Data& d : h.messages) {
     if (!tracker(d.id.source).has(d.id.seq)) {
       // We never had this message: deliver it, then upgrade to long-term.
-      accept(d, /*from_remote_region=*/false);
+      accept(d);
     }
     store_->accept_handoff(d);
   }
 }
 
-void Endpoint::handle_gossip(const proto::Gossip& g, MemberId from) {
-  (void)from;
+void Endpoint::handle(const proto::Gossip& g, MemberId) {
   if (gossip_fd_) gossip_fd_->handle_gossip(g);
 }
 
-void Endpoint::handle_buffer_digest(const proto::BufferDigest& d,
-                                    MemberId from) {
-  (void)from;
+void Endpoint::handle(const proto::BufferDigest& d, MemberId) {
   if (!cfg_.buffer_coordination.enabled) return;
   if (d.member == self()) return;  // only neighbors count as replicas
   // A digest from the other side of a partition (in flight at the cut, or
@@ -659,8 +633,7 @@ void Endpoint::handle_buffer_digest(const proto::BufferDigest& d,
   }
 }
 
-void Endpoint::handle_credit_ack(const proto::CreditAck& a, MemberId from) {
-  (void)from;
+void Endpoint::handle(const proto::CreditAck& a, MemberId) {
   if (!cfg_.flow.enabled) return;
   if (a.member == self()) return;  // the regional multicast loops back
   // An ack can race its sender's departure (in flight when the view
@@ -686,19 +659,18 @@ void Endpoint::handle_credit_ack(const proto::CreditAck& a, MemberId from) {
   drain_send_queue();
 }
 
-void Endpoint::handle_shed(const proto::Shed& s, MemberId from) {
-  (void)from;
+void Endpoint::handle(const proto::Shed& s, MemberId) {
   if (!cfg_.buffer_coordination.enabled) return;
   // The neighbor is about to discard the region's (believed) last copy; we
   // inherit the bufferer responsibility, exactly like a leave-time handoff:
   // deliver if never received, then keep the copy long-term.
   if (!tracker(s.message.id.source).has(s.message.id.seq)) {
-    accept(s.message, /*from_remote_region=*/false);
+    accept(s.message);
   }
   store_->accept_handoff(s.message);
 }
 
-void Endpoint::handle_history(const proto::History& h, MemberId from) {
+void Endpoint::handle(const proto::History& h, MemberId from) {
   if (cfg_.anti_entropy) pull_from_digest(h, from);
   if (!history_enabled_) return;
   for (const proto::SourceHistory& sh : h.sources) {
@@ -712,33 +684,24 @@ void Endpoint::handle_history(const proto::History& h, MemberId from) {
 void Endpoint::start_recovery(const MessageId& id) {
   if (!active_ || !cfg_.gap_driven_recovery) return;
   if (tracker(id.source).has(id.seq)) return;
-  if (recoveries_.count(id)) return;
-  RecoveryTask task;
-  task.started = host_.now();
-  recoveries_.emplace(id, task);
+  MessageState& st = state(id);
+  if (st.recovering) return;
+  st.recovering = true;
+  st.started = host_.now();
   metrics().on_loss_detected(self(), id, host_.now());
   // The two phases run concurrently (§2.2).
   local_attempt(id);
   remote_attempt(id);
 }
 
-void Endpoint::finish_recovery(const MessageId& id) {
-  auto it = recoveries_.find(id);
-  if (it == recoveries_.end()) return;
-  cancel(it->second.local_timer);
-  cancel(it->second.remote_timer);
-  recoveries_.erase(it);
-  probes_.erase(id);
-}
-
-MemberId Endpoint::pick_request_target(const MessageId& id) {
+MemberId Endpoint::pick_request_target(const MessageId& id,
+                                       std::uint32_t attempts) {
   if (cfg_.hierarchy.enabled) {
     // Repair tree: the first NAK goes to the region's aggregation point —
     // deterministic, no RNG draw. Retries fall back to random neighbors in
     // case the representative itself is wedged.
     MemberId rep = region_representative();
-    if (rep != kInvalidMember && rep != self() &&
-        recoveries_[id].local_attempts == 0) {
+    if (rep != kInvalidMember && rep != self() && attempts == 0) {
       return rep;
     }
   }
@@ -750,17 +713,16 @@ MemberId Endpoint::pick_request_target(const MessageId& id) {
     bufferer_scratch_.assign(set.begin(), set.end());
     std::erase(bufferer_scratch_, self());
     if (!bufferer_scratch_.empty()) {
-      auto& task = recoveries_[id];
-      return bufferer_scratch_[task.local_attempts % bufferer_scratch_.size()];
+      return bufferer_scratch_[attempts % bufferer_scratch_.size()];
     }
   }
   return host_.local_view().pick_random(host_.rng(), self());
 }
 
 void Endpoint::local_attempt(const MessageId& id) {
-  auto it = recoveries_.find(id);
-  if (it == recoveries_.end()) return;
-  RecoveryTask& task = it->second;
+  MessageState* st = find_state(id);
+  if (st == nullptr || !st->recovering) return;
+  MessageState& task = *st;
   task.local_timer = kNoTimer;
   if (cfg_.hierarchy.enabled && task.local_attempts > 0 &&
       task.remote_timer == kNoTimer && is_representative()) {
@@ -773,7 +735,7 @@ void Endpoint::local_attempt(const MessageId& id) {
   if (cfg_.max_attempts != 0 && task.local_attempts >= cfg_.max_attempts) {
     return;  // give up on the local phase; remote phase may still succeed
   }
-  MemberId q = pick_request_target(id);
+  MemberId q = pick_request_target(id, task.local_attempts);
   if (q == kInvalidMember) {
     // Alone in the region: retry later in case the view grows.
     task.local_timer = schedule(host_.rtt_estimate(self()),
@@ -782,7 +744,7 @@ void Endpoint::local_attempt(const MessageId& id) {
   }
   ++task.local_attempts;
   metrics().on_request_sent(self(), id, /*remote=*/false, host_.now());
-  if (cfg_.measure_rtt) probes_[id].try_emplace(q, host_.now());
+  if (cfg_.measure_rtt) extras(id).probes.try_emplace(q, host_.now());
   host_.send(q, proto::Message{proto::LocalRequest{id, self()}});
   task.local_timer =
       schedule(retry_backoff(request_timeout(q), task.local_attempts - 1),
@@ -790,9 +752,9 @@ void Endpoint::local_attempt(const MessageId& id) {
 }
 
 void Endpoint::remote_attempt(const MessageId& id) {
-  auto it = recoveries_.find(id);
-  if (it == recoveries_.end()) return;
-  RecoveryTask& task = it->second;
+  MessageState* st = find_state(id);
+  if (st == nullptr || !st->recovering) return;
+  MessageState& task = *st;
   task.remote_timer = kNoTimer;
   if (cfg_.hierarchy.enabled) {
     // Multi-level repair: only the region's aggregation point escalates, and
@@ -901,88 +863,84 @@ Duration Endpoint::retry_backoff(Duration base, std::uint32_t attempts) const {
 // --------------------------------------------------------------- search ----
 
 bool Endpoint::search_abandoned(const MessageId& id) {
-  auto it = search_given_up_.find(id);
-  if (it == search_given_up_.end()) return false;
-  if (host_.now() - it->second > cfg_.search_cache_ttl) {
-    search_given_up_.erase(it);
-    return false;
-  }
-  return true;
+  MessageExtras* x = find_extras(id);
+  return x && x->given_up_at &&
+         host_.now() - *x->given_up_at <= cfg_.search_cache_ttl;
 }
 
-void Endpoint::start_search(const MessageId& id, MemberId requester) {
+void Endpoint::start_search(const MessageId& id, MemberId requester,
+                            bool direct) {
   if (search_abandoned(id)) return;  // recently exhausted max_attempts
-  auto it = searches_.find(id);
-  if (it != searches_.end()) {
-    if (!contains(it->second.carry, requester)) {
-      it->second.carry.push_back(requester);
-    }
-    if (!contains(it->second.own, requester)) {
-      it->second.own.push_back(requester);
-    }
-    return;
-  }
-  SearchTask task;
-  task.started = host_.now();
-  task.carry.push_back(requester);
-  task.own.push_back(requester);
-  searches_.emplace(id, std::move(task));
+  MessageExtras& x = extras(id);
+  if (!contains(x.carry, requester)) x.carry.push_back(requester);
+  if (direct && !contains(x.own, requester)) x.own.push_back(requester);
+  if (x.searching) return;  // already probing; our retry timer is running
+  x.searching = true;
   metrics().on_search_started(self(), id, host_.now());
   search_attempt(id);
 }
 
+void Endpoint::close_search(MessageExtras& x) {
+  cancel(x.search_timer);
+  x.searching = false;
+  x.search_attempts = 0;
+  x.carry.clear();
+  x.own.clear();
+}
+
 void Endpoint::search_attempt(const MessageId& id) {
-  auto it = searches_.find(id);
-  if (it == searches_.end()) return;
-  SearchTask& task = it->second;
-  task.timer = kNoTimer;
-  if (cfg_.max_attempts != 0 && task.attempts >= cfg_.max_attempts) {
-    search_given_up_[id] = host_.now();
-    searches_.erase(it);
+  MessageExtras* x = find_extras(id);
+  if (x == nullptr || !x->searching) return;
+  x->search_timer = kNoTimer;
+  if (cfg_.max_attempts != 0 && x->search_attempts >= cfg_.max_attempts) {
+    x->given_up_at = host_.now();
+    close_search(*x);
     return;
   }
   MemberId q = host_.local_view().pick_random(host_.rng(), self());
   if (q == kInvalidMember) {
-    searches_.erase(it);  // nobody to search: the message is gone from here
+    close_search(*x);  // nobody to search: the message is gone from here
+    release_if_idle(id);
     return;
   }
-  ++task.attempts;
+  ++x->search_attempts;
   metrics().on_search_hop(self(), q, id, host_.now());
-  host_.send(q, proto::Message{proto::SearchRequest{id, task.carry.front()}});
-  task.timer = schedule(request_timeout(q), [this, id] { search_attempt(id); });
+  host_.send(q, proto::Message{proto::SearchRequest{id, x->carry.front()}});
+  x->search_timer =
+      schedule(request_timeout(q), [this, id] { search_attempt(id); });
 }
 
 void Endpoint::end_search(const MessageId& id, MemberId holder) {
-  auto it = searches_.find(id);
-  if (it == searches_.end()) return;
-  SearchTask& task = it->second;
-  cancel(task.timer);
+  MessageExtras* x = find_extras(id);
+  if (x == nullptr || !x->searching) return;
   // The chain that reached the holder served the requester it carried; any
   // requester that contacted us directly might not have been on that chain,
   // so point the holder at them (it answers RemoteRequests from its buffer).
-  for (MemberId rr : task.own) {
+  for (MemberId rr : x->own) {
     host_.send(holder, proto::Message{proto::RemoteRequest{id, rr}});
   }
-  searches_.erase(it);
+  close_search(*x);
 }
 
 void Endpoint::schedule_query_reply(const MessageId& id, MemberId requester) {
-  if (pending_replies_.count(id)) return;  // one reply per query round
+  MessageExtras& x = extras(id);
+  if (x.replying) return;  // one reply per query round
   double window_us =
       static_cast<double>(cfg_.query_backoff_unit.us()) * cfg_.query_backoff_c;
   Duration delay = Duration::micros(
       static_cast<std::int64_t>(host_.rng().uniform_real(0.0, window_us)));
-  PendingReply reply;
-  reply.requester = requester;
-  reply.timer = schedule(delay, [this, id] { fire_query_reply(id); });
-  pending_replies_.emplace(id, std::move(reply));
+  x.replying = true;
+  x.reply_to = requester;
+  x.reply_timer = schedule(delay, [this, id] { fire_query_reply(id); });
 }
 
 void Endpoint::fire_query_reply(const MessageId& id) {
-  auto it = pending_replies_.find(id);
-  if (it == pending_replies_.end()) return;
-  MemberId requester = it->second.requester;
-  pending_replies_.erase(it);
+  MessageExtras* x = find_extras(id);
+  if (x == nullptr || !x->replying) return;
+  MemberId requester = x->reply_to;
+  x->replying = false;
+  x->reply_timer = kNoTimer;
+  release_if_idle(id);
   std::optional<proto::Data> d = store_->get(id);
   if (!d) return;  // discarded while backing off
   metrics().on_repair_sent(self(), id, /*remote=*/true, host_.now());
@@ -996,37 +954,40 @@ void Endpoint::fire_query_reply(const MessageId& id) {
 
 void Endpoint::announce_found(const MessageId& id) {
   TimePoint now = host_.now();
-  auto it = last_announce_.find(id);
-  if (it != last_announce_.end() &&
-      now - it->second < host_.rtt_estimate(self())) {
+  MessageExtras& x = extras(id);
+  if (x.announced_at && now - *x.announced_at < host_.rtt_estimate(self())) {
     return;  // straggler probe; the region heard the announcement already
   }
-  last_announce_[id] = now;
+  x.announced_at = now;
   remember_holder(id, self());
   metrics().on_search_completed(self(), id, now);
   host_.multicast_region(proto::Message{proto::SearchFound{id, self()}});
 }
 
-MemberId Endpoint::cached_holder(const MessageId& id) {
-  auto it = found_cache_.find(id);
-  if (it == found_cache_.end()) return kInvalidMember;
-  if (host_.now() - it->second.second > cfg_.search_cache_ttl) {
-    found_cache_.erase(it);
-    return kInvalidMember;
+bool Endpoint::redirect_to_holder(const MessageId& id, MemberId requester) {
+  MessageExtras* x = find_extras(id);
+  if (x == nullptr || !x->holder_at ||
+      host_.now() - *x->holder_at > cfg_.search_cache_ttl) {
+    return false;
   }
-  return it->second.first;
+  host_.send(x->holder, proto::Message{proto::RemoteRequest{id, requester}});
+  return true;
 }
 
-void Endpoint::remember_holder(const MessageId& id, MemberId holder) {
-  found_cache_[id] = {holder, host_.now()};
-  search_given_up_.erase(id);  // a holder exists after all
+Endpoint::MessageExtras& Endpoint::remember_holder(const MessageId& id,
+                                                   MemberId holder) {
+  MessageExtras& x = extras(id);
+  x.holder = holder;
+  x.holder_at = host_.now();
+  x.given_up_at.reset();  // a holder exists after all
+  return x;
 }
 
 // ------------------------------------------------------- regional relay ----
 
 void Endpoint::schedule_regional_relay(const proto::Data& d) {
   if (host_.local_view().size() <= 1) return;
-  if (pending_relays_.count(d.id)) return;
+  if (MessageExtras* x = find_extras(d.id); x && x->relay) return;
   if (cfg_.regional_backoff <= Duration::zero()) {
     metrics().on_regional_multicast(self(), d.id, host_.now());
     host_.multicast_region(
@@ -1038,17 +999,19 @@ void Endpoint::schedule_regional_relay(const proto::Data& d) {
   Duration delay = Duration::micros(static_cast<std::int64_t>(
       host_.rng().uniform_real(0.0,
                                static_cast<double>(cfg_.regional_backoff.us()))));
-  PendingRelay relay;
-  relay.data = d;
-  relay.timer = schedule(delay, [this, id = d.id] { fire_regional_relay(id); });
-  pending_relays_.emplace(d.id, std::move(relay));
+  MessageExtras& x = extras(d.id);
+  x.relay = d;
+  x.relay_timer =
+      schedule(delay, [this, id = d.id] { fire_regional_relay(id); });
 }
 
 void Endpoint::fire_regional_relay(const MessageId& id) {
-  auto it = pending_relays_.find(id);
-  if (it == pending_relays_.end()) return;
-  proto::Data d = std::move(it->second.data);
-  pending_relays_.erase(it);
+  MessageExtras* x = find_extras(id);
+  if (x == nullptr || !x->relay) return;
+  proto::Data d = std::move(*x->relay);
+  x->relay.reset();
+  x->relay_timer = kNoTimer;
+  release_if_idle(id);
   metrics().on_regional_multicast(self(), id, host_.now());
   host_.multicast_region(
       proto::Message{proto::RegionalRepair{d.id, std::move(d.payload), self()}});

@@ -43,7 +43,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "buffer/hash_based.h"
@@ -130,9 +129,11 @@ class Endpoint {
 
   bool has_received(const MessageId& id) const;
   std::uint64_t received_count() const;
-  std::size_t active_recoveries() const { return recoveries_.size(); }
-  std::size_t active_searches() const { return searches_.size(); }
-  std::size_t waiter_count() const { return waiters_.size(); }
+  std::size_t active_recoveries() const;
+  std::size_t active_searches() const;
+  /// Message ids with any per-message state (open work or unexpired cache
+  /// stamps); bounded by the live set, not by run length.
+  std::size_t tracked_messages() const { return messages_.size(); }
   std::uint64_t highest_sent() const { return send_seq_; }
 
   /// Flow-control window state (meaningful when config.flow.enabled).
@@ -172,7 +173,42 @@ class Endpoint {
     Endpoint& ep_;
   };
 
-  struct RecoveryTask {
+  /// The rare part of a message's state, allocated on first use.
+  struct MessageExtras {
+    /// Requesters to serve on receipt (§2.2 waiters).
+    std::vector<MemberId> waiters;
+    /// Local probes of the open recovery, for RTT sampling: when we FIRST
+    /// probed each target, which avoids Karn's retransmission ambiguity.
+    std::map<MemberId, TimePoint> probes;
+    /// Random search for a bufferer (§3.3), open while `searching`. `carry`:
+    /// requesters carried in outgoing SearchRequests (front is forwarded).
+    /// `own`: requesters that contacted *this* member directly; when another
+    /// chain finds the holder, they are forwarded to it, never left unserved.
+    bool searching = false;
+    std::uint32_t search_attempts = 0;
+    TimerHandle search_timer = kNoTimer;
+    std::vector<MemberId> carry;
+    std::vector<MemberId> own;
+    /// Pending regional relay of a remote repair (§2.2 back-off).
+    std::optional<proto::Data> relay;
+    TimerHandle relay_timer = kNoTimer;
+    /// kMulticastQuery strategy: a bufferer's delayed "I have it" reply.
+    bool replying = false;
+    MemberId reply_to = kInvalidMember;
+    TimerHandle reply_timer = kNoTimer;
+    /// Cache stamps: a search located `holder` (fresh for search_cache_ttl);
+    /// we last multicast SearchFound (fresh for one intra-region RTT); our
+    /// search exhausted max_attempts (fresh for search_cache_ttl) — without
+    /// it, other searchers' probes would resurrect a futile search forever.
+    MemberId holder = kInvalidMember;
+    std::optional<TimePoint> holder_at;
+    std::optional<TimePoint> announced_at;
+    std::optional<TimePoint> given_up_at;
+  };
+
+  /// Everything this member tracks about one message id. The recovery
+  /// fields (§2.2) are hot and inline, open while `recovering`.
+  struct MessageState {
     TimePoint started;
     TimerHandle local_timer = kNoTimer;
     TimerHandle remote_timer = kNoTimer;
@@ -183,58 +219,56 @@ class Endpoint {
     /// the incoming hop + 1, so a cyclic (misconfigured) topology trips the
     /// max_hops guard instead of forwarding forever.
     std::uint32_t escalate_hop = 0;
+    bool recovering = false;
+    std::unique_ptr<MessageExtras> extras;
   };
 
-  struct SearchTask {
-    TimePoint started;
-    /// Requesters carried in outgoing SearchRequests (front is forwarded).
-    std::vector<MemberId> carry;
-    /// Requesters that contacted *this* member directly (RemoteRequest);
-    /// when another member's chain finds the holder, these are forwarded to
-    /// the holder so they are never left unserved.
-    std::vector<MemberId> own;
-    TimerHandle timer = kNoTimer;
-    std::uint32_t attempts = 0;
-  };
-
-  struct PendingRelay {
-    TimerHandle timer = kNoTimer;
-    proto::Data data;
-  };
-
-  /// kMulticastQuery strategy: a bufferer's delayed "I have it" reply.
-  struct PendingReply {
-    TimerHandle timer = kNoTimer;
-    MemberId requester = kInvalidMember;
-  };
-
-  // Message handlers.
-  void handle_data(const proto::Data& d, MemberId from);
-  void handle_session(const proto::Session& s, MemberId from);
-  void handle_local_request(const proto::LocalRequest& r, MemberId from);
-  void handle_remote_request(const proto::RemoteRequest& r, MemberId from);
-  void handle_repair(const proto::Repair& r, MemberId from);
-  void handle_regional_repair(const proto::RegionalRepair& r, MemberId from);
-  void handle_search_request(const proto::SearchRequest& r, MemberId from);
-  void handle_search_found(const proto::SearchFound& r, MemberId from);
-  void handle_handoff(const proto::Handoff& h, MemberId from);
-  void handle_gossip(const proto::Gossip& g, MemberId from);
-  void handle_history(const proto::History& h, MemberId from);
-  void handle_buffer_digest(const proto::BufferDigest& d, MemberId from);
-  void handle_shed(const proto::Shed& s, MemberId from);
-  void handle_credit_ack(const proto::CreditAck& a, MemberId from);
-  void handle_escalate(const proto::Escalate& e, MemberId from);
+  // Message handlers, one overload per wire type.
+  void handle(const proto::Data& d, MemberId from);
+  void handle(const proto::Session& s, MemberId from);
+  void handle(const proto::LocalRequest& r, MemberId from);
+  void handle(const proto::RemoteRequest& r, MemberId from);
+  void handle(const proto::Repair& r, MemberId from);
+  void handle(const proto::RegionalRepair& r, MemberId from);
+  void handle(const proto::SearchRequest& r, MemberId from);
+  void handle(const proto::SearchFound& r, MemberId from);
+  void handle(const proto::Handoff& h, MemberId from);
+  void handle(const proto::Gossip& g, MemberId from);
+  void handle(const proto::History& h, MemberId from);
+  void handle(const proto::BufferDigest& d, MemberId from);
+  void handle(const proto::Shed& s, MemberId from);
+  void handle(const proto::CreditAck& a, MemberId from);
+  void handle(const proto::Escalate& e, MemberId from);
 
   // Reception path shared by data/repair/regional-repair/handoff.
   // Returns true if the message was new.
-  bool accept(const proto::Data& d, bool from_remote_region);
+  bool accept(const proto::Data& d);
+
+  // Per-message state table. state() and extras() insert, which may
+  // rehash: never hold a MessageState& across a call that can insert
+  // another id.
+  MessageState* find_state(const MessageId& id);
+  MessageExtras* find_extras(const MessageId& id);
+  MessageState& state(const MessageId& id);
+  MessageExtras& extras(const MessageId& id);
+  /// True when nothing in `st` is live: no open recovery or search, no
+  /// pending relay or reply, no waiter, and every cache stamp expired.
+  bool idle(const MessageState& st) const;
+  /// Erase the entry for `id` if it is idle. Entries holding only stamps are
+  /// reclaimed by the sweep in state() once their stamps expire.
+  void release_if_idle(const MessageId& id);
+  /// Record a requester for a message we never received and recover it.
+  void wait_and_recover(const MessageId& id, MemberId requester);
+  /// RemoteRequest/Escalate cases 1 and 2 (§3.3): repair `requester` from
+  /// our buffer, or wait for a message we never received. False when we
+  /// received it and discarded it since.
+  bool answer_or_wait(const MessageId& id, MemberId requester);
 
   // Recovery.
   void start_recovery(const MessageId& id);
-  void finish_recovery(const MessageId& id);
   void local_attempt(const MessageId& id);
   void remote_attempt(const MessageId& id);
-  MemberId pick_request_target(const MessageId& id);
+  MemberId pick_request_target(const MessageId& id, std::uint32_t attempts);
 
   // Hierarchical repair (cfg_.hierarchy). Representatives are recomputed
   // lazily whenever the host's view epoch or the connectivity generation
@@ -248,15 +282,20 @@ class Endpoint {
   /// at base << hierarchy.max_backoff_shift. Identity outside hierarchy mode.
   Duration retry_backoff(Duration base, std::uint32_t attempts) const;
 
-  // Search (§3.3).
-  void start_search(const MessageId& id, MemberId requester);
+  // Search (§3.3). `direct`: the requester contacted us itself (it joins
+  // `own` as well as `carry`).
+  void start_search(const MessageId& id, MemberId requester, bool direct);
   void search_attempt(const MessageId& id);
   void end_search(const MessageId& id, MemberId holder);
+  void close_search(MessageExtras& x);
   void schedule_query_reply(const MessageId& id, MemberId requester);
   void fire_query_reply(const MessageId& id);
-  /// Known holder from a recently completed search, if still fresh.
-  MemberId cached_holder(const MessageId& id);
-  void remember_holder(const MessageId& id, MemberId holder);
+  /// Point `requester` at the holder a recent search located, if that is
+  /// still fresh; false when there is none.
+  bool redirect_to_holder(const MessageId& id, MemberId requester);
+  MessageExtras& remember_holder(const MessageId& id, MemberId holder);
+  /// A search for `id` recently exhausted max_attempts here.
+  bool search_abandoned(const MessageId& id);
   /// Multicast "I have the message" unless we already announced it within
   /// the last intra-region RTT (straggler probes must not cause a storm of
   /// re-announcements).
@@ -308,8 +347,6 @@ class Endpoint {
   bool flow_unreachable(MemberId m) const;
 
   // Helpers.
-  void serve_waiters(const proto::Data& d);
-  void satisfy_searches(const proto::Data& d);
   TimerHandle schedule(Duration d, sim::Callback fn);
   void cancel(TimerHandle& t);
   Duration request_timeout(MemberId peer) const;
@@ -402,29 +439,14 @@ class Endpoint {
   std::vector<MemberId> rep_scratch_;
 
   std::map<MemberId, SequenceTracker> trackers_;
-  // Flat open-addressing maps on the per-message hot path: at million-member
-  // scale the recovery/waiter churn outgrows unordered_map's node traffic.
-  common::FlatMap<MessageId, RecoveryTask> recoveries_;
-  // Outstanding local probes per message, for RTT sampling: when we FIRST
-  // probed each target. Attributing a repair to the first probe of its
-  // sender avoids Karn's retransmission ambiguity (a retry to the same
-  // target would otherwise yield a near-zero sample).
-  std::unordered_map<MessageId, std::map<MemberId, TimePoint>> probes_;
   RttEstimator rtt_;
-  common::FlatMap<MessageId, std::vector<MemberId>> waiters_;
-  std::unordered_map<MessageId, SearchTask> searches_;
-  std::unordered_map<MessageId, PendingRelay> pending_relays_;
-  std::unordered_map<MessageId, PendingReply> pending_replies_;
-  // id -> (holder, recorded_at); entries expire after search_cache_ttl.
-  std::unordered_map<MessageId, std::pair<MemberId, TimePoint>> found_cache_;
-  // id -> when we last multicast SearchFound for it ourselves.
-  std::unordered_map<MessageId, TimePoint> last_announce_;
-  // Negative cache: searches we abandoned after max_attempts. Without it,
-  // probes from other (still-active) searchers would resurrect our task and
-  // a futile search would sustain itself forever. Expires with
-  // search_cache_ttl; cleared if the message or a holder turns up.
-  std::unordered_map<MessageId, TimePoint> search_given_up_;
-  bool search_abandoned(const MessageId& id);
+  // All per-message state, in one flat open-addressing table: at
+  // million-member scale the recovery churn outgrows unordered_map's node
+  // traffic. sweep_mark_ is the table size after the last idle sweep; the
+  // next one runs when the table has doubled since.
+  common::FlatMap<MessageId, MessageState> messages_;
+  static constexpr std::size_t kMinSweepMark = 8;
+  std::size_t sweep_mark_ = kMinSweepMark;
 
   // Stability baseline state.
   buffer::StabilityTracker stability_;

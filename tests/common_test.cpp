@@ -1,12 +1,15 @@
-// Unit tests: strong time types, deterministic RNG, byte codec primitives.
+// Unit tests: strong time types, deterministic RNG, byte codec primitives,
+// the open-addressing FlatMap.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
 #include <set>
 #include <type_traits>
+#include <unordered_map>
 
 #include "common/bytes.h"
+#include "common/flat_map.h"
 #include "common/random.h"
 #include "common/time.h"
 #include "common/types.h"
@@ -530,6 +533,72 @@ TEST(SharedBytesTest, SmallBlobInLargeBufferIsCopiedNotAliased) {
   SharedBytes blob = r.get_shared_bytes();
   EXPECT_EQ(blob, SharedBytes({1, 2, 3, 4}));
   EXPECT_FALSE(blob.shares_owner_with(wire));
+}
+
+// ------------------------------------------------------------- FlatMap ----
+
+TEST(FlatMapTest, MatchesUnorderedMapUnderRandomOps) {
+  // Differential test: every operation's result and the full contents must
+  // agree with std::unordered_map across growth, tombstone reuse and
+  // in-place rehashes. A small key space forces heavy collision churn.
+  common::FlatMap<std::uint64_t, std::uint64_t> flat;
+  std::unordered_map<std::uint64_t, std::uint64_t> ref;
+  RandomEngine rng(77);
+  for (int op = 0; op < 200000; ++op) {
+    auto key = static_cast<std::uint64_t>(rng.uniform_int(0, 300));
+    auto value = rng.next_u64();
+    switch (rng.uniform_int(0, 3)) {
+      case 0: {  // emplace
+        auto [it, inserted] = flat.emplace(key, value);
+        auto [rit, rinserted] = ref.emplace(key, value);
+        ASSERT_EQ(inserted, rinserted) << "op " << op;
+        ASSERT_EQ(it->first, key);
+        ASSERT_EQ(it->second, rit->second) << "op " << op;
+        break;
+      }
+      case 1:  // erase
+        ASSERT_EQ(flat.erase(key), ref.erase(key)) << "op " << op;
+        break;
+      case 2: {  // find
+        auto it = flat.find(key);
+        auto rit = ref.find(key);
+        ASSERT_EQ(it == flat.end(), rit == ref.end()) << "op " << op;
+        if (rit != ref.end()) {
+          ASSERT_EQ(it->second, rit->second);
+        }
+        break;
+      }
+      default:  // operator[]
+        flat[key] += value;
+        ref[key] += value;
+        break;
+    }
+    ASSERT_EQ(flat.size(), ref.size()) << "op " << op;
+  }
+  std::size_t walked = 0;
+  const auto& cflat = flat;
+  for (const auto& [k, v] : cflat) {
+    ++walked;
+    auto rit = ref.find(k);
+    ASSERT_NE(rit, ref.end());
+    EXPECT_EQ(v, rit->second);
+  }
+  EXPECT_EQ(walked, ref.size());
+}
+
+TEST(FlatMapTest, ChurnAtSteadyLiveCountDoesNotGrowCapacity) {
+  // A steady 8 live keys under insert/erase churn: rehashes must reclaim
+  // tombstones in place rather than double the slot array every time.
+  common::FlatMap<std::uint64_t, std::uint64_t> flat;
+  std::uint64_t next = 0;
+  for (; next < 8; ++next) flat[next] = next;
+  for (int op = 0; op < 500000; ++op, ++next) {
+    ASSERT_EQ(flat.erase(next - 8), 1u);
+    flat[next] = next;
+  }
+  EXPECT_EQ(flat.size(), 8u);
+  EXPECT_LE(flat.capacity(), 32u);
+  for (std::uint64_t k = next - 8; k < next; ++k) EXPECT_EQ(flat.count(k), 1u);
 }
 
 }  // namespace

@@ -36,6 +36,37 @@ TEST(SearchCache, StragglerRedirectedWithoutNewSearch) {
   EXPECT_GE(cluster.metrics().remote_repairs_for(id), 2u);
 }
 
+TEST(SearchCache, FinishedSearchesDoNotPinState) {
+  // The straggler scenario repeated for 300 ids, one search per simulated
+  // second: every completed search leaves found-cache and announce stamps
+  // at each region member, and they must be reclaimed once they expire
+  // (search_cache_ttl is 500 ms) rather than pile up one entry per id.
+  ClusterConfig cc;
+  cc.region_sizes = {20, 1};
+  cc.seed = 101;
+  Cluster cluster(cc);
+  std::vector<MemberId> region0 = cluster.region_members(0);
+  MemberId requester = cluster.region_members(1)[0];
+  for (std::uint64_t seq = 1; seq <= 300; ++seq) {
+    MessageId id = cluster.inject_data_to(region0[0], seq, region0);
+    for (MemberId m : region0) {
+      if (m == 4) {
+        cluster.force_long_term(m, id);
+      } else {
+        cluster.force_discard(m, id);
+      }
+    }
+    cluster.inject_remote_request(7, id, requester);
+    cluster.run_for(Duration::seconds(1));
+    ASSERT_TRUE(cluster.endpoint(requester).has_received(id)) << "seq " << seq;
+  }
+  EXPECT_GE(cluster.metrics().counters().searches_started, 300u);
+  for (MemberId m : region0) {
+    EXPECT_LE(cluster.endpoint(m).tracked_messages(), 16u) << "member " << m;
+    EXPECT_EQ(cluster.endpoint(m).active_searches(), 0u) << "member " << m;
+  }
+}
+
 TEST(SearchCache, ExpiresAfterTtl) {
   ClusterConfig cc;
   cc.region_sizes = {10, 1};

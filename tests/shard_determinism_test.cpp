@@ -568,6 +568,116 @@ TEST(ShardDeterminism, SubShardedHierarchyRunsAreShardCountInvariant) {
   expect_identical(s1, s4, "sub-sharded shards=1 vs shards=4");
 }
 
+RunDigest run_search_workload(std::size_t shards,
+                              Config::SearchStrategy strategy,
+                              std::size_t* rtt_peers) {
+  // The per-message search state on the deterministic-ordering hook. A
+  // lossy stream (measured RTTs, so local probes are sampled) is followed by
+  // remote requests aimed at region-0 members that mostly discarded the
+  // message already (C = 2 of 8 keep it long-term): random search and
+  // SearchFound, or multicast query and back-off replies, then found-cache
+  // redirects for repeated ids and negative-cache entries for ids nobody
+  // kept. The requesters' regions relay each repair after a randomized
+  // back-off, so pending relays are live too.
+  ClusterConfig cc;
+  cc.region_sizes = {8, 5, 4, 5};
+  cc.seed = 2037;
+  cc.data_loss = 0.20;
+  cc.control_loss = 0.02;
+  cc.jitter = 0.15;
+  cc.codec_roundtrip = true;
+  cc.shards = shards;
+  buffer::TwoPhaseParams two_phase;
+  two_phase.C = 2.0;
+  cc.policy = two_phase;
+  cc.protocol.measure_rtt = true;
+  cc.protocol.regional_backoff = Duration::millis(5);
+  cc.protocol.search_strategy = strategy;
+  Cluster cluster(cc);
+
+  for (int i = 0; i < 8; ++i) {
+    cluster.schedule_script(
+        TimePoint::zero() + Duration::millis(20) * i,
+        [&cluster] {
+          cluster.endpoint(0).multicast(std::vector<std::uint8_t>(48, 0x2D));
+        });
+  }
+  // Four messages from member 1 that only region 0 ever sees: the other
+  // regions learn of them from the injected remote requests' repairs.
+  std::vector<MemberId> region0 = cluster.region_members(0);
+  cluster.schedule_script(TimePoint::zero() + Duration::millis(250),
+                          [&cluster, &region0] {
+                            for (std::uint64_t seq = 1; seq <= 4; ++seq) {
+                              cluster.inject_data_to(1, seq, region0);
+                            }
+                          });
+  for (std::size_t k = 0; k < 24; ++k) {
+    cluster.schedule_script(
+        TimePoint::zero() + Duration::millis(300) + Duration::millis(15) * k,
+        [&cluster, &region0, k] {
+          MessageId id{1, 1 + k % 4};
+          MemberId requester = cluster.region_members(1 + k % 3)[k % 4];
+          cluster.inject_remote_request(region0[k % 8], id, requester);
+        });
+  }
+  cluster.schedule_script(TimePoint::zero() + Duration::millis(500),
+                          [&cluster] { cluster.crash(12); });
+
+  cluster.run_for(Duration::seconds(1));
+  cluster.run_until_quiet(Duration::seconds(2));
+
+  RunDigest d;
+  const RecordingSink& m = cluster.metrics();
+  d.counters = m.counters();
+  d.deliveries = m.deliveries();
+  d.stores = m.stores();
+  d.discards = m.discards();
+  d.promotions = m.promotions();
+  d.recovery_latencies = m.recovery_latencies();
+  d.traffic = cluster.network().stats();
+  d.events_fired = cluster.events_fired();
+  d.final_now = cluster.now();
+  d.total_buffered = cluster.total_buffered();
+  d.lanes = cluster.lane_count();
+  *rtt_peers = 0;
+  for (MemberId mem = 0; mem < cluster.size(); ++mem) {
+    *rtt_peers += cluster.endpoint(mem).rtt_estimator().tracked_peers();
+  }
+  return d;
+}
+
+TEST(ShardDeterminism, SearchRunsAreShardCountInvariant) {
+  for (auto strategy : {Config::SearchStrategy::kRandomSearch,
+                        Config::SearchStrategy::kMulticastQuery}) {
+    std::size_t rtt1 = 0, rtt2 = 0, rtt4 = 0;
+    RunDigest s1 = run_search_workload(1, strategy, &rtt1);
+    RunDigest s2 = run_search_workload(2, strategy, &rtt2);
+    RunDigest s4 = run_search_workload(4, strategy, &rtt4);
+
+    // Every per-message path must actually have run: searches answered by
+    // SearchFound, remote repairs relayed regionally, RTT samples taken.
+    std::size_t found_idx =
+        static_cast<std::size_t>(proto::MessageType::kSearchFound);
+    std::size_t search_idx =
+        static_cast<std::size_t>(proto::MessageType::kSearchRequest);
+    ASSERT_GT(s1.traffic.sends_by_type[search_idx], 0u);
+    ASSERT_GT(s1.traffic.sends_by_type[found_idx], 0u);
+    ASSERT_GT(s1.counters.searches_completed, 0u);
+    ASSERT_GT(s1.counters.regional_multicasts, 0u);
+    ASSERT_GT(s1.counters.recoveries, 0u);
+    ASSERT_GT(rtt1, 0u);
+
+    const char* label = strategy == Config::SearchStrategy::kRandomSearch
+                            ? "random search"
+                            : "multicast query";
+    SCOPED_TRACE(label);
+    expect_identical(s1, s2, "search shards=1 vs shards=2");
+    expect_identical(s1, s4, "search shards=1 vs shards=4");
+    EXPECT_EQ(rtt1, rtt2);
+    EXPECT_EQ(rtt1, rtt4);
+  }
+}
+
 TEST(ShardDeterminism, SoleCopyProtectedWhenRedundantVictimAvailable) {
   // Regression for the coordination cost model, at the store level: under
   // pressure, a digest-advertised (redundant) entry is evicted even though
