@@ -66,6 +66,47 @@ void BM_EncodeHistory(benchmark::State& state) {
 }
 BENCHMARK(BM_EncodeHistory)->Arg(1)->Arg(16)->Arg(64);
 
+// One round trip of each of the 15 frame types per iteration, so every
+// field kind (fixed ints, varints, blobs, repeated and nested fields, both
+// optional trailing fields) is timed, not just the Data path.
+void BM_EncodeDecodeEveryType(benchmark::State& state) {
+  proto::Data data{MessageId{7, 42}, std::vector<std::uint8_t>(64, 0x5A),
+                   {{1, 300}, {2, 9}}};
+  proto::BufferDigest digest{3, 1u << 20, 4, {{1, 5, 127}, {2, 1, 128}}};
+  digest.view_gen = 2;
+  proto::CreditAck ack{5, 1u << 20, 1u << 21, {{1, 127}, {2, 128}}};
+  ack.view_gen = 3;
+  const std::vector<proto::Message> msgs = {
+      data,
+      proto::Session{7, 1ULL << 40, {{1, 5}}},
+      proto::LocalRequest{MessageId{3, 4}, 9},
+      proto::RemoteRequest{MessageId{3, 4}, 9},
+      proto::Repair{MessageId{5, 6}, std::vector<std::uint8_t>(64, 1), true},
+      proto::RegionalRepair{MessageId{5, 6}, std::vector<std::uint8_t>(64, 2), 2},
+      proto::SearchRequest{MessageId{7, 8}, 1},
+      proto::SearchFound{MessageId{7, 8}, 1},
+      proto::Handoff{{proto::Data{MessageId{1, 1}, {1, 2, 3}},
+                      proto::Data{MessageId{1, 2}, {4, 5, 6}}}},
+      proto::Gossip{1, {{2, 3}, {4, 5}, {6, 7}}},
+      proto::History{1, {proto::SourceHistory{2, 10, {0xFF, 0x00}}}},
+      digest,
+      proto::Shed{4, proto::Data{MessageId{1, 2}, {7, 8, 9}}},
+      ack,
+      proto::Escalate{MessageId{12, 999}, 5, 2},
+  };
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    for (const proto::Message& m : msgs) {
+      auto wire = proto::encode(m);
+      auto decoded = proto::decode(wire);
+      bytes += wire.size();
+      benchmark::DoNotOptimize(decoded);
+    }
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_EncodeDecodeEveryType);
+
 }  // namespace
 
 BENCHMARK_MAIN();

@@ -125,6 +125,7 @@ class ByteWriter {
     buf_.insert(buf_.end(), data.begin(), data.end());
   }
 
+  void reserve(std::size_t n) { buf_.reserve(n); }
   std::size_t size() const { return buf_.size(); }
   const std::vector<std::uint8_t>& data() const { return buf_; }
   std::vector<std::uint8_t> take() { return std::move(buf_); }

@@ -1,470 +1,300 @@
 #include "proto/codec.h"
 
+#include <array>
+#include <bit>
+#include <concepts>
+#include <limits>
+#include <type_traits>
+#include <utility>
+
 #include "common/bytes.h"
 
 namespace rrmp::proto {
 namespace {
 
-void put_message_id(ByteWriter& w, const MessageId& id) {
-  w.put_u32(id.source);
-  w.put_u64(id.seq);
-}
+// Each frame's wire layout is written once, as a `fields` overload that
+// names its fields in wire order through an IO. Three IOs walk the same
+// list: Writer<ByteWriter> encodes, Writer<ByteCounter> sizes, Reader
+// decodes. The message is `const T&` for the writers and `T&` for the
+// reader, so one list serves both directions.
 
-MessageId get_message_id(ByteReader& r) {
-  MessageId id;
-  id.source = r.get_u32();
-  id.seq = r.get_u64();
-  return id;
-}
+/// Counts the bytes a ByteWriter would append, without writing them.
+struct ByteCounter {
+  std::size_t n = 0;
 
-// Piggybacked receive cursors ride as an *optional trailing* block on
-// top-level Data and Session frames: nothing is written when the vector is
-// empty, so the empty case is byte-identical to the pre-piggyback layout
-// and old golden vectors still decode. The decoder reads the block only
-// when bytes remain after the core fields. An explicit empty block (count
-// 0) is never emitted and is rejected on decode.
-void put_cursor_block(ByteWriter& w, const std::vector<ReceiveCursor>& cs) {
-  if (cs.empty()) return;
-  w.put_varint(cs.size());
-  for (const ReceiveCursor& c : cs) {
-    w.put_u32(c.source);
-    w.put_varint(c.cursor);
+  void put_u8(std::uint8_t) { n += 1; }
+  void put_u32(std::uint32_t) { n += 4; }
+  void put_u64(std::uint64_t) { n += 8; }
+  void put_varint(std::uint64_t v) { n += (std::bit_width(v | 1) + 6) / 7; }
+  void put_bytes(std::span<const std::uint8_t> b) {
+    put_varint(b.size());
+    n += b.size();
   }
+};
+
+template <class Sink>
+struct Writer {
+  Sink out;
+
+  void flag(bool v) { out.put_u8(v ? 1 : 0); }
+  void u32(std::uint32_t v) { out.put_u32(v); }
+  void u64(std::uint64_t v) { out.put_u64(v); }
+  void varint(std::uint64_t v) { out.put_varint(v); }
+  void blob(const SharedBytes& b) { out.put_bytes(b.span()); }
+  void require(bool) {}
+
+  template <class V, class F>
+  void repeated(const V& v, F each) {
+    out.put_varint(v.size());
+    for (const auto& e : v) each(*this, e);
+  }
+  // Optional trailing fields are written only when non-empty / nonzero, so
+  // their absence keeps the byte layout from before they existed.
+  template <class V, class F>
+  void trailing_repeated(const V& v, F each) {
+    if (!v.empty()) repeated(v, each);
+  }
+  void trailing_varint(std::uint64_t v) {
+    if (v != 0) out.put_varint(v);
+  }
+};
+
+/// Never reads out of bounds (ByteReader) and rejects, on top of
+/// truncation: a repeated count above kMaxRepeated or above the bytes left
+/// (every element takes at least one; both checked before any resize), a
+/// varint above its field's type, a failed `require`, a present-but-empty
+/// trailing field, and trailing garbage.
+struct Reader {
+  ByteReader in;
+  bool valid = true;
+
+  void flag(bool& v) { v = in.get_u8() != 0; }
+  void u32(std::uint32_t& v) { v = in.get_u32(); }
+  void u64(std::uint64_t& v) { v = in.get_u64(); }
+  void varint(std::uint64_t& v) { v = in.get_varint(); }
+  void varint(std::uint32_t& v) {  // a u32 field carried as a varint
+    std::uint64_t wide = in.get_varint();
+    require(wide <= std::numeric_limits<std::uint32_t>::max());
+    v = static_cast<std::uint32_t>(wide);
+  }
+  void blob(SharedBytes& b) { b = in.get_shared_bytes(); }
+  void require(bool cond) { valid = valid && cond; }
+  bool ok() const { return valid && in.ok(); }
+
+  template <class V, class F>
+  void repeated(V& v, F each) {
+    std::uint64_t n = in.get_varint();
+    require(n <= kMaxRepeated && n <= in.remaining());
+    if (!ok()) return;
+    v.resize(n);
+    for (auto& e : v) {
+      each(*this, e);
+      if (!ok()) return;
+    }
+  }
+  // Present only when bytes remain; an encoder never emits an empty one.
+  template <class V, class F>
+  void trailing_repeated(V& v, F each) {
+    if (in.done()) return;
+    repeated(v, each);
+    require(!v.empty());
+  }
+  void trailing_varint(std::uint64_t& v) {
+    if (in.done()) return;
+    varint(v);
+    require(v != 0);
+  }
+};
+
+template <class M, class T>
+concept Is = std::same_as<std::remove_const_t<M>, T>;
+
+void message_id(auto& io, Is<MessageId> auto& id) {
+  io.u32(id.source);
+  io.u64(id.seq);
 }
 
-bool get_cursor_block(ByteReader& r, std::vector<ReceiveCursor>& cs) {
-  if (r.done()) return r.ok();  // trailing block absent: legacy layout
-  std::uint64_t n = r.get_varint();
-  if (!r.ok() || n == 0 || n > kMaxRepeated) return false;
-  cs.resize(n);
-  for (ReceiveCursor& c : cs) {
-    c.source = r.get_u32();
-    c.cursor = r.get_varint();
-  }
-  return r.ok();
+// Piggybacked receive cursors, the optional trailing block on Data and
+// Session and the body of CreditAck.
+constexpr auto cursor = [](auto& io, auto& c) {
+  io.u32(c.source);
+  io.varint(c.cursor);
+};
+
+// Data without its trailing cursor block. Handoff and Shed nest this form:
+// nested Data has no length prefix, so a trailing block cannot follow it.
+constexpr auto data_core = [](auto& io, auto& d) {
+  message_id(io, d.id);
+  io.blob(d.payload);
+};
+
+void fields(auto& io, Is<Data> auto& m) {
+  data_core(io, m);
+  io.trailing_repeated(m.cursors, cursor);
+}
+void fields(auto& io, Is<Session> auto& m) {
+  io.u32(m.source);
+  io.u64(m.highest_seq);
+  io.trailing_repeated(m.cursors, cursor);
+}
+void fields(auto& io, Is<LocalRequest> auto& m) {
+  message_id(io, m.id);
+  io.u32(m.requester);
+}
+void fields(auto& io, Is<RemoteRequest> auto& m) {
+  message_id(io, m.id);
+  io.u32(m.requester);
+}
+void fields(auto& io, Is<Repair> auto& m) {
+  message_id(io, m.id);
+  io.blob(m.payload);
+  io.flag(m.remote);
+}
+void fields(auto& io, Is<RegionalRepair> auto& m) {
+  message_id(io, m.id);
+  io.blob(m.payload);
+  io.u32(m.relayer);
+}
+void fields(auto& io, Is<SearchRequest> auto& m) {
+  message_id(io, m.id);
+  io.u32(m.remote_requester);
+}
+void fields(auto& io, Is<SearchFound> auto& m) {
+  message_id(io, m.id);
+  io.u32(m.holder);
+}
+void fields(auto& io, Is<Handoff> auto& m) {
+  io.repeated(m.messages, data_core);
+}
+void fields(auto& io, Is<Gossip> auto& m) {
+  io.u32(m.from);
+  io.repeated(m.beats, [](auto& beat_io, auto& h) {
+    beat_io.u32(h.member);
+    beat_io.u64(h.counter);
+  });
+}
+void fields(auto& io, Is<History> auto& m) {
+  io.u32(m.member);
+  io.repeated(m.sources, [](auto& src_io, auto& s) {
+    src_io.u32(s.source);
+    src_io.u64(s.next_expected);
+    src_io.repeated(s.bitmap, [](auto& word_io, auto& w) { word_io.u64(w); });
+  });
+}
+void fields(auto& io, Is<BufferDigest> auto& m) {
+  io.u32(m.member);
+  io.u64(m.bytes_in_use);
+  io.varint(m.window_outstanding);
+  io.repeated(m.ranges, [](auto& range_io, auto& r) {
+    range_io.u32(r.source);
+    range_io.u64(r.first_seq);
+    range_io.varint(r.count);
+    range_io.require(r.count != 0);  // a well-formed digest has no empty run
+  });
+  // Fault-injection connectivity generation; 0 (never partitioned) is absent.
+  io.trailing_varint(m.view_gen);
+}
+void fields(auto& io, Is<Shed> auto& m) {
+  io.u32(m.from);
+  data_core(io, m.message);
+}
+void fields(auto& io, Is<CreditAck> auto& m) {
+  io.u32(m.member);
+  io.u64(m.bytes_in_use);
+  io.u64(m.budget_bytes);
+  io.repeated(m.cursors, cursor);
+  io.trailing_varint(m.view_gen);
+}
+void fields(auto& io, Is<Escalate> auto& m) {
+  message_id(io, m.id);
+  io.u32(m.requester);
+  io.varint(m.hop);
 }
 
-// Fault-injection connectivity generation, an *optional trailing* varint on
-// CreditAck and BufferDigest: nothing is written when the generation is 0
-// (no partition ever happened), so fault-free traffic keeps the legacy byte
-// layout and old golden vectors still decode. The decoder reads it only
-// when bytes remain after the core fields; an explicit 0 is never emitted
-// and is rejected on decode.
-void put_view_gen(ByteWriter& w, std::uint64_t gen) {
-  if (gen != 0) w.put_varint(gen);
+template <class T>
+std::size_t body_size(const T& m) {
+  Writer<ByteCounter> io;
+  fields(io, m);
+  return io.out.n;
 }
 
-bool get_view_gen(ByteReader& r, std::uint64_t& gen) {
-  if (r.done()) return r.ok();  // trailing field absent: legacy layout
-  gen = r.get_varint();
-  return r.ok() && gen != 0;
+template <std::size_t I>
+std::optional<Message> decode_as(Reader& io) {
+  std::variant_alternative_t<I, Message> m;
+  fields(io, m);
+  if (!io.ok() || !io.in.done()) return std::nullopt;
+  return Message{std::in_place_index<I>, std::move(m)};
 }
 
-// Core (cursor-free) Data layout, shared with the nested encodings inside
-// Handoff and Shed: nested Data has no length prefix, so the optional
-// trailing cursor block exists only at the top level.
-void encode_data_core(ByteWriter& w, const Data& m) {
-  put_message_id(w, m.id);
-  w.put_bytes(m.payload);
-}
-void encode_body(ByteWriter& w, const Data& m) {
-  encode_data_core(w, m);
-  put_cursor_block(w, m.cursors);
-}
-void encode_body(ByteWriter& w, const Session& m) {
-  w.put_u32(m.source);
-  w.put_u64(m.highest_seq);
-  put_cursor_block(w, m.cursors);
-}
-void encode_body(ByteWriter& w, const LocalRequest& m) {
-  put_message_id(w, m.id);
-  w.put_u32(m.requester);
-}
-void encode_body(ByteWriter& w, const RemoteRequest& m) {
-  put_message_id(w, m.id);
-  w.put_u32(m.requester);
-}
-void encode_body(ByteWriter& w, const Repair& m) {
-  put_message_id(w, m.id);
-  w.put_bytes(m.payload);
-  w.put_u8(m.remote ? 1 : 0);
-}
-void encode_body(ByteWriter& w, const RegionalRepair& m) {
-  put_message_id(w, m.id);
-  w.put_bytes(m.payload);
-  w.put_u32(m.relayer);
-}
-void encode_body(ByteWriter& w, const SearchRequest& m) {
-  put_message_id(w, m.id);
-  w.put_u32(m.remote_requester);
-}
-void encode_body(ByteWriter& w, const SearchFound& m) {
-  put_message_id(w, m.id);
-  w.put_u32(m.holder);
-}
-void encode_body(ByteWriter& w, const Handoff& m) {
-  w.put_varint(m.messages.size());
-  for (const Data& d : m.messages) encode_data_core(w, d);
-}
-void encode_body(ByteWriter& w, const Gossip& m) {
-  w.put_u32(m.from);
-  w.put_varint(m.beats.size());
-  for (const Heartbeat& h : m.beats) {
-    w.put_u32(h.member);
-    w.put_u64(h.counter);
-  }
-}
-void encode_body(ByteWriter& w, const History& m) {
-  w.put_u32(m.member);
-  w.put_varint(m.sources.size());
-  for (const SourceHistory& s : m.sources) {
-    w.put_u32(s.source);
-    w.put_u64(s.next_expected);
-    w.put_varint(s.bitmap.size());
-    for (std::uint64_t word : s.bitmap) w.put_u64(word);
-  }
-}
-void encode_body(ByteWriter& w, const BufferDigest& m) {
-  w.put_u32(m.member);
-  w.put_u64(m.bytes_in_use);
-  w.put_varint(m.window_outstanding);
-  w.put_varint(m.ranges.size());
-  for (const DigestRange& r : m.ranges) {
-    w.put_u32(r.source);
-    w.put_u64(r.first_seq);
-    w.put_varint(r.count);
-  }
-  put_view_gen(w, m.view_gen);
-}
-void encode_body(ByteWriter& w, const Shed& m) {
-  w.put_u32(m.from);
-  encode_data_core(w, m.message);
-}
-void encode_body(ByteWriter& w, const Escalate& m) {
-  put_message_id(w, m.id);
-  w.put_u32(m.requester);
-  w.put_varint(m.hop);
-}
-void encode_body(ByteWriter& w, const CreditAck& m) {
-  w.put_u32(m.member);
-  w.put_u64(m.bytes_in_use);
-  w.put_u64(m.budget_bytes);
-  w.put_varint(m.cursors.size());
-  for (const ReceiveCursor& c : m.cursors) {
-    w.put_u32(c.source);
-    w.put_varint(c.cursor);
-  }
-  put_view_gen(w, m.view_gen);
+std::optional<Message> decode_from(Reader io) {
+  using Decoder = std::optional<Message> (*)(Reader&);
+  static constexpr auto kDecoders = []<std::size_t... I>(
+                                        std::index_sequence<I...>) {
+    return std::array<Decoder, sizeof...(I)>{&decode_as<I>...};
+  }(std::make_index_sequence<std::variant_size_v<Message>>{});
+  std::size_t tag = io.in.get_u8();  // 0 when the input is empty
+  if (tag == 0 || tag > kDecoders.size()) return std::nullopt;
+  return kDecoders[tag - 1](io);
 }
 
-bool decode_data_core(ByteReader& r, Data& m) {
-  m.id = get_message_id(r);
-  m.payload = r.get_shared_bytes();
-  return r.ok();
-}
-bool decode_body(ByteReader& r, Data& m) {
-  if (!decode_data_core(r, m)) return false;
-  return get_cursor_block(r, m.cursors);
-}
-bool decode_body(ByteReader& r, Session& m) {
-  m.source = r.get_u32();
-  m.highest_seq = r.get_u64();
-  if (!r.ok()) return false;
-  return get_cursor_block(r, m.cursors);
-}
-bool decode_body(ByteReader& r, LocalRequest& m) {
-  m.id = get_message_id(r);
-  m.requester = r.get_u32();
-  return r.ok();
-}
-bool decode_body(ByteReader& r, RemoteRequest& m) {
-  m.id = get_message_id(r);
-  m.requester = r.get_u32();
-  return r.ok();
-}
-bool decode_body(ByteReader& r, Repair& m) {
-  m.id = get_message_id(r);
-  m.payload = r.get_shared_bytes();
-  m.remote = r.get_u8() != 0;
-  return r.ok();
-}
-bool decode_body(ByteReader& r, RegionalRepair& m) {
-  m.id = get_message_id(r);
-  m.payload = r.get_shared_bytes();
-  m.relayer = r.get_u32();
-  return r.ok();
-}
-bool decode_body(ByteReader& r, SearchRequest& m) {
-  m.id = get_message_id(r);
-  m.remote_requester = r.get_u32();
-  return r.ok();
-}
-bool decode_body(ByteReader& r, SearchFound& m) {
-  m.id = get_message_id(r);
-  m.holder = r.get_u32();
-  return r.ok();
-}
-bool decode_body(ByteReader& r, Handoff& m) {
-  std::uint64_t n = r.get_varint();
-  if (!r.ok() || n > kMaxRepeated) return false;
-  m.messages.resize(n);
-  for (Data& d : m.messages) {
-    if (!decode_data_core(r, d)) return false;
-  }
-  return r.ok();
-}
-bool decode_body(ByteReader& r, Gossip& m) {
-  m.from = r.get_u32();
-  std::uint64_t n = r.get_varint();
-  if (!r.ok() || n > kMaxRepeated) return false;
-  m.beats.resize(n);
-  for (Heartbeat& h : m.beats) {
-    h.member = r.get_u32();
-    h.counter = r.get_u64();
-  }
-  return r.ok();
-}
-bool decode_body(ByteReader& r, History& m) {
-  m.member = r.get_u32();
-  std::uint64_t n = r.get_varint();
-  if (!r.ok() || n > kMaxRepeated) return false;
-  m.sources.resize(n);
-  for (SourceHistory& s : m.sources) {
-    s.source = r.get_u32();
-    s.next_expected = r.get_u64();
-    std::uint64_t words = r.get_varint();
-    if (!r.ok() || words > kMaxRepeated) return false;
-    s.bitmap.resize(words);
-    for (std::uint64_t& word : s.bitmap) word = r.get_u64();
-  }
-  return r.ok();
-}
-bool decode_body(ByteReader& r, BufferDigest& m) {
-  m.member = r.get_u32();
-  m.bytes_in_use = r.get_u64();
-  m.window_outstanding = r.get_varint();
-  std::uint64_t n = r.get_varint();
-  if (!r.ok() || n > kMaxRepeated) return false;
-  m.ranges.resize(n);
-  for (DigestRange& dr : m.ranges) {
-    dr.source = r.get_u32();
-    dr.first_seq = r.get_u64();
-    dr.count = r.get_varint();
-    // An empty run advertises nothing; a well-formed digest never emits one.
-    if (!r.ok() || dr.count == 0) return false;
-  }
-  return get_view_gen(r, m.view_gen);
-}
-bool decode_body(ByteReader& r, Shed& m) {
-  m.from = r.get_u32();
-  return decode_data_core(r, m.message);
-}
-bool decode_body(ByteReader& r, Escalate& m) {
-  m.id = get_message_id(r);
-  m.requester = r.get_u32();
-  m.hop = static_cast<std::uint32_t>(r.get_varint());
-  return r.ok();
-}
-bool decode_body(ByteReader& r, CreditAck& m) {
-  m.member = r.get_u32();
-  m.bytes_in_use = r.get_u64();
-  m.budget_bytes = r.get_u64();
-  std::uint64_t n = r.get_varint();
-  if (!r.ok() || n > kMaxRepeated) return false;
-  m.cursors.resize(n);
-  for (ReceiveCursor& c : m.cursors) {
-    c.source = r.get_u32();
-    c.cursor = r.get_varint();
-  }
-  return get_view_gen(r, m.view_gen);
-}
-
-template <typename T>
-std::optional<Message> decode_as(ByteReader& r) {
-  T m;
-  if (!decode_body(r, m) || !r.done()) return std::nullopt;
-  return Message{std::move(m)};
-}
-
-std::optional<Message> decode_from(ByteReader& r) {
-  auto tag = static_cast<MessageType>(r.get_u8());
-  if (!r.ok()) return std::nullopt;
-  switch (tag) {
-    case MessageType::kData: return decode_as<Data>(r);
-    case MessageType::kSession: return decode_as<Session>(r);
-    case MessageType::kLocalRequest: return decode_as<LocalRequest>(r);
-    case MessageType::kRemoteRequest: return decode_as<RemoteRequest>(r);
-    case MessageType::kRepair: return decode_as<Repair>(r);
-    case MessageType::kRegionalRepair: return decode_as<RegionalRepair>(r);
-    case MessageType::kSearchRequest: return decode_as<SearchRequest>(r);
-    case MessageType::kSearchFound: return decode_as<SearchFound>(r);
-    case MessageType::kHandoff: return decode_as<Handoff>(r);
-    case MessageType::kGossip: return decode_as<Gossip>(r);
-    case MessageType::kHistory: return decode_as<History>(r);
-    case MessageType::kBufferDigest: return decode_as<BufferDigest>(r);
-    case MessageType::kShed: return decode_as<Shed>(r);
-    case MessageType::kCreditAck: return decode_as<CreditAck>(r);
-    case MessageType::kEscalate: return decode_as<Escalate>(r);
-  }
-  return std::nullopt;
-}
-
-// ------------------------------------------------------------ sizes ----
-//
-// Mirrors encode_body exactly; proto_test pins encoded_size == encode().size()
-// for every message type.
-
-constexpr std::size_t varint_size(std::uint64_t v) {
-  std::size_t n = 1;
-  while (v >= 0x80) {
-    v >>= 7;
-    ++n;
-  }
-  return n;
-}
-
-constexpr std::size_t kMessageIdSize = 4 + 8;
-
-std::size_t blob_size(const SharedBytes& b) {
-  return varint_size(b.size()) + b.size();
-}
-
-std::size_t cursor_block_size(const std::vector<ReceiveCursor>& cs) {
-  if (cs.empty()) return 0;
-  std::size_t n = varint_size(cs.size());
-  for (const ReceiveCursor& c : cs) n += 4 + varint_size(c.cursor);
-  return n;
-}
-
-std::size_t size_data_core(const Data& m) {
-  return kMessageIdSize + blob_size(m.payload);
-}
-std::size_t size_body(const Data& m) {
-  return size_data_core(m) + cursor_block_size(m.cursors);
-}
-std::size_t size_body(const Session& m) {
-  return 4 + 8 + cursor_block_size(m.cursors);
-}
-std::size_t size_body(const LocalRequest&) { return kMessageIdSize + 4; }
-std::size_t size_body(const RemoteRequest&) { return kMessageIdSize + 4; }
-std::size_t size_body(const Repair& m) {
-  return kMessageIdSize + blob_size(m.payload) + 1;
-}
-std::size_t size_body(const RegionalRepair& m) {
-  return kMessageIdSize + blob_size(m.payload) + 4;
-}
-std::size_t size_body(const SearchRequest&) { return kMessageIdSize + 4; }
-std::size_t size_body(const SearchFound&) { return kMessageIdSize + 4; }
-std::size_t size_body(const Handoff& m) {
-  std::size_t n = varint_size(m.messages.size());
-  for (const Data& d : m.messages) n += size_data_core(d);
-  return n;
-}
-std::size_t size_body(const Gossip& m) {
-  return 4 + varint_size(m.beats.size()) + m.beats.size() * (4 + 8);
-}
-std::size_t size_body(const History& m) {
-  std::size_t n = 4 + varint_size(m.sources.size());
-  for (const SourceHistory& s : m.sources) {
-    n += 4 + 8 + varint_size(s.bitmap.size()) + s.bitmap.size() * 8;
-  }
-  return n;
-}
-std::size_t size_body(const BufferDigest& m) {
-  std::size_t n = 4 + 8 + varint_size(m.window_outstanding) +
-                  varint_size(m.ranges.size());
-  for (const DigestRange& r : m.ranges) n += 4 + 8 + varint_size(r.count);
-  if (m.view_gen != 0) n += varint_size(m.view_gen);
-  return n;
-}
-std::size_t size_body(const Shed& m) { return 4 + size_data_core(m.message); }
-std::size_t size_body(const Escalate& m) {
-  return kMessageIdSize + 4 + varint_size(m.hop);
-}
-std::size_t size_body(const CreditAck& m) {
-  std::size_t n = 4 + 8 + 8 + varint_size(m.cursors.size());
-  for (const ReceiveCursor& c : m.cursors) n += 4 + varint_size(c.cursor);
-  if (m.view_gen != 0) n += varint_size(m.view_gen);
-  return n;
-}
+template <class T, MessageType tag>
+constexpr bool kTagged = std::is_same_v<
+    std::variant_alternative_t<static_cast<std::size_t>(tag) - 1, Message>, T>;
 
 }  // namespace
 
+// The tag is the variant index + 1, pinned here to each named wire tag.
 MessageType type_of(const Message& m) {
-  return std::visit(
-      [](const auto& v) -> MessageType {
-        using T = std::decay_t<decltype(v)>;
-        if constexpr (std::is_same_v<T, Data>) return MessageType::kData;
-        if constexpr (std::is_same_v<T, Session>) return MessageType::kSession;
-        if constexpr (std::is_same_v<T, LocalRequest>)
-          return MessageType::kLocalRequest;
-        if constexpr (std::is_same_v<T, RemoteRequest>)
-          return MessageType::kRemoteRequest;
-        if constexpr (std::is_same_v<T, Repair>) return MessageType::kRepair;
-        if constexpr (std::is_same_v<T, RegionalRepair>)
-          return MessageType::kRegionalRepair;
-        if constexpr (std::is_same_v<T, SearchRequest>)
-          return MessageType::kSearchRequest;
-        if constexpr (std::is_same_v<T, SearchFound>)
-          return MessageType::kSearchFound;
-        if constexpr (std::is_same_v<T, Handoff>) return MessageType::kHandoff;
-        if constexpr (std::is_same_v<T, Gossip>) return MessageType::kGossip;
-        if constexpr (std::is_same_v<T, History>) return MessageType::kHistory;
-        if constexpr (std::is_same_v<T, BufferDigest>)
-          return MessageType::kBufferDigest;
-        if constexpr (std::is_same_v<T, Shed>) return MessageType::kShed;
-        if constexpr (std::is_same_v<T, CreditAck>)
-          return MessageType::kCreditAck;
-        if constexpr (std::is_same_v<T, Escalate>)
-          return MessageType::kEscalate;
-      },
-      m);
+  using enum MessageType;
+  static_assert(std::variant_size_v<Message> == 15 && kTagged<Data, kData> &&
+                kTagged<Session, kSession> &&
+                kTagged<LocalRequest, kLocalRequest> &&
+                kTagged<RemoteRequest, kRemoteRequest> &&
+                kTagged<Repair, kRepair> &&
+                kTagged<RegionalRepair, kRegionalRepair> &&
+                kTagged<SearchRequest, kSearchRequest> &&
+                kTagged<SearchFound, kSearchFound> &&
+                kTagged<Handoff, kHandoff> && kTagged<Gossip, kGossip> &&
+                kTagged<History, kHistory> &&
+                kTagged<BufferDigest, kBufferDigest> && kTagged<Shed, kShed> &&
+                kTagged<CreditAck, kCreditAck> &&
+                kTagged<Escalate, kEscalate>);
+  return static_cast<MessageType>(m.index() + 1);
 }
 
 const char* type_name(MessageType t) {
-  switch (t) {
-    case MessageType::kData: return "DATA";
-    case MessageType::kSession: return "SESSION";
-    case MessageType::kLocalRequest: return "LOCAL_REQ";
-    case MessageType::kRemoteRequest: return "REMOTE_REQ";
-    case MessageType::kRepair: return "REPAIR";
-    case MessageType::kRegionalRepair: return "REGIONAL_REPAIR";
-    case MessageType::kSearchRequest: return "SEARCH_REQ";
-    case MessageType::kSearchFound: return "SEARCH_FOUND";
-    case MessageType::kHandoff: return "HANDOFF";
-    case MessageType::kGossip: return "GOSSIP";
-    case MessageType::kHistory: return "HISTORY";
-    case MessageType::kBufferDigest: return "BUFFER_DIGEST";
-    case MessageType::kShed: return "SHED";
-    case MessageType::kCreditAck: return "CREDIT_ACK";
-    case MessageType::kEscalate: return "ESCALATE";
-  }
-  return "UNKNOWN";
+  static constexpr const char* kNames[] = {
+      "DATA",       "SESSION",         "LOCAL_REQ",  "REMOTE_REQ",
+      "REPAIR",     "REGIONAL_REPAIR", "SEARCH_REQ", "SEARCH_FOUND",
+      "HANDOFF",    "GOSSIP",          "HISTORY",    "BUFFER_DIGEST",
+      "SHED",       "CREDIT_ACK",      "ESCALATE"};
+  static_assert(std::size(kNames) == std::variant_size_v<Message>);
+  auto i = static_cast<std::size_t>(t);
+  return i >= 1 && i <= std::size(kNames) ? kNames[i - 1] : "UNKNOWN";
 }
 
 std::vector<std::uint8_t> encode(const Message& m) {
-  ByteWriter w;
-  w.put_u8(static_cast<std::uint8_t>(type_of(m)));
-  std::visit([&w](const auto& v) { encode_body(w, v); }, m);
-  return w.take();
+  Writer<ByteWriter> io;
+  io.out.reserve(encoded_size(m));
+  io.out.put_u8(static_cast<std::uint8_t>(type_of(m)));
+  std::visit([&io](const auto& v) { fields(io, v); }, m);
+  return io.out.take();
 }
 
 std::optional<Message> decode(std::span<const std::uint8_t> bytes) {
-  ByteReader r(bytes);
-  return decode_from(r);
+  return decode_from(Reader{ByteReader(bytes)});
 }
 
 SharedBytes encode_shared(const Message& m) { return SharedBytes(encode(m)); }
 
 std::optional<Message> decode_shared(const SharedBytes& wire) {
-  ByteReader r(wire);
-  return decode_from(r);
+  return decode_from(Reader{ByteReader(wire)});
 }
 
 std::size_t encoded_size(const Message& m) {
-  return 1 + std::visit([](const auto& v) { return size_body(v); }, m);
+  return 1 + std::visit([](const auto& v) { return body_size(v); }, m);
 }
 
-std::size_t encoded_size(const Data& d) { return 1 + size_body(d); }
+std::size_t encoded_size(const Data& d) { return 1 + body_size(d); }
 
 }  // namespace rrmp::proto

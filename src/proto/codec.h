@@ -1,10 +1,13 @@
 // Binary codec for proto::Message.
 //
-// Layout: 1-byte MessageType tag followed by the type-specific body.
-// Integers are little-endian fixed width; blobs and repeated fields are
-// varint-length-prefixed. decode() returns nullopt on any malformed input
-// (unknown tag, truncation, trailing garbage, oversized repeated field) —
-// it never throws and never reads out of bounds.
+// Layout: 1-byte MessageType tag (the variant index + 1) followed by the
+// type-specific body. Integers are little-endian fixed width; blobs and
+// repeated fields are varint-length-prefixed. Each frame's body layout is
+// written once, as one field list in codec.cc that encode, decode and
+// encoded_size all walk, so the three cannot disagree. decode() returns
+// nullopt on any malformed input (unknown tag, truncation, trailing
+// garbage, oversized repeated field, out-of-range value) — it never throws
+// and never reads out of bounds.
 #pragma once
 
 #include <cstdint>

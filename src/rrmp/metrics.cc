@@ -12,11 +12,6 @@ std::uint64_t RecordingSink::remote_requests_for(const MessageId& id) const {
   return it == remote_requests_by_id_.end() ? 0 : it->second;
 }
 
-std::uint64_t RecordingSink::remote_repairs_for(const MessageId& id) const {
-  auto it = remote_repairs_by_id_.find(id);
-  return it == remote_repairs_by_id_.end() ? 0 : it->second;
-}
-
 void RecordingSink::clear() { *this = RecordingSink(); }
 
 RecordingSink::Counters& RecordingSink::Counters::operator+=(
@@ -93,10 +88,6 @@ RecordingSink RecordingSink::merge(
   out.promotions_ = merge_streams<TimedEvent>(
       sinks,
       [](const RecordingSink& s) -> const auto& { return s.promotions_; }, at);
-  out.buffer_intervals_ = merge_streams<BufferInterval>(
-      sinks,
-      [](const RecordingSink& s) -> const auto& { return s.buffer_intervals_; },
-      [](const BufferInterval& b) { return b.discarded_at; });
   for (const RecordingSink* s : sinks) {
     out.counters_ += s->counters_;
     // Latencies concatenate in input order (only aggregates are consumed,
@@ -111,11 +102,6 @@ RecordingSink RecordingSink::merge(
     for (const auto& [id, n] : s->remote_requests_by_id_) {
       out.remote_requests_by_id_[id] += n;
     }
-    for (const auto& [id, n] : s->remote_repairs_by_id_) {
-      out.remote_repairs_by_id_[id] += n;
-    }
-    // Member sets are disjoint across region sinks, so plain insertion.
-    out.open_stores_.insert(s->open_stores_.begin(), s->open_stores_.end());
   }
   return out;
 }
@@ -143,20 +129,13 @@ void RecordingSink::on_buffer_stored(MemberId m, const MessageId& id,
   ++revision_;
   ++counters_.stores;
   stores_.push_back(TimedEvent{t, m, id});
-  open_stores_[{m, id}] = t;
 }
 
 void RecordingSink::on_buffer_discarded(MemberId m, const MessageId& id,
-                                        TimePoint t, bool was_long_term) {
+                                        TimePoint t, bool) {
   ++revision_;
   ++counters_.discards;
   discards_.push_back(TimedEvent{t, m, id});
-  auto it = open_stores_.find({m, id});
-  if (it != open_stores_.end()) {
-    buffer_intervals_.push_back(
-        BufferInterval{m, id, it->second, t, was_long_term});
-    open_stores_.erase(it);
-  }
 }
 
 void RecordingSink::on_promoted_long_term(MemberId m, const MessageId& id,
@@ -189,7 +168,6 @@ void RecordingSink::on_repair_sent(MemberId, const MessageId& id, bool remote,
   ++counters_.repairs_sent;
   if (remote) {
     ++counters_.remote_repairs_sent;
-    ++remote_repairs_by_id_[id];
     auto [it, inserted] = first_remote_repair_.try_emplace(id, t);
     if (!inserted && t < it->second) it->second = t;
   }

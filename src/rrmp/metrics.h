@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -113,25 +112,12 @@ class RecordingSink final : public MetricsSink {
     friend bool operator==(const TimedEvent&, const TimedEvent&) = default;
   };
 
-  /// Completed residency of one message in one member's buffer.
-  struct BufferInterval {
-    MemberId member;
-    MessageId id;
-    TimePoint stored_at;
-    TimePoint discarded_at;
-    bool was_long_term;
-    Duration held() const { return discarded_at - stored_at; }
-  };
-
   const Counters& counters() const { return counters_; }
 
   const std::vector<TimedEvent>& deliveries() const { return deliveries_; }
   const std::vector<TimedEvent>& stores() const { return stores_; }
   const std::vector<TimedEvent>& discards() const { return discards_; }
   const std::vector<TimedEvent>& promotions() const { return promotions_; }
-  const std::vector<BufferInterval>& buffer_intervals() const {
-    return buffer_intervals_;
-  }
   const std::vector<Duration>& recovery_latencies() const {
     return recovery_latencies_;
   }
@@ -141,9 +127,6 @@ class RecordingSink final : public MetricsSink {
 
   /// Remote requests sent for `id` (Figure-A3 lambda validation).
   std::uint64_t remote_requests_for(const MessageId& id) const;
-
-  /// Remote repairs sent for `id` (duplicate-reply counting, ablation A2).
-  std::uint64_t remote_repairs_for(const MessageId& id) const;
 
   void clear();
 
@@ -199,13 +182,9 @@ class RecordingSink final : public MetricsSink {
   std::vector<TimedEvent> stores_;
   std::vector<TimedEvent> discards_;
   std::vector<TimedEvent> promotions_;
-  std::vector<BufferInterval> buffer_intervals_;
   std::vector<Duration> recovery_latencies_;
   std::unordered_map<MessageId, TimePoint> first_remote_repair_;
   std::unordered_map<MessageId, std::uint64_t> remote_requests_by_id_;
-  std::unordered_map<MessageId, std::uint64_t> remote_repairs_by_id_;
-  // (member, id) -> store time, for closing BufferIntervals.
-  std::map<std::pair<MemberId, MessageId>, TimePoint> open_stores_;
 };
 
 }  // namespace rrmp

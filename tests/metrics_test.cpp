@@ -1,5 +1,5 @@
-// Unit tests for the RecordingSink: interval bookkeeping, first-repair
-// tracking, per-id counters.
+// Unit tests for the RecordingSink: event streams, first-repair tracking,
+// per-id counters.
 #include <gtest/gtest.h>
 
 #include "rrmp/metrics.h"
@@ -12,32 +12,9 @@ TimePoint at(std::int64_t ms) {
   return TimePoint::zero() + Duration::millis(ms);
 }
 
-TEST(RecordingSinkTest, BufferIntervalsCloseOnDiscard) {
-  RecordingSink sink;
-  sink.on_buffer_stored(3, id(1), at(10));
-  sink.on_buffer_discarded(3, id(1), at(60), /*was_long_term=*/false);
-  ASSERT_EQ(sink.buffer_intervals().size(), 1u);
-  const auto& iv = sink.buffer_intervals()[0];
-  EXPECT_EQ(iv.member, 3u);
-  EXPECT_EQ(iv.held(), Duration::millis(50));
-  EXPECT_FALSE(iv.was_long_term);
-}
-
-TEST(RecordingSinkTest, IntervalsArePerMemberPerMessage) {
-  RecordingSink sink;
-  sink.on_buffer_stored(1, id(1), at(0));
-  sink.on_buffer_stored(2, id(1), at(5));
-  sink.on_buffer_discarded(2, id(1), at(25), false);
-  // Member 1's copy is still open: only one closed interval.
-  ASSERT_EQ(sink.buffer_intervals().size(), 1u);
-  EXPECT_EQ(sink.buffer_intervals()[0].member, 2u);
-  EXPECT_EQ(sink.buffer_intervals()[0].held(), Duration::millis(20));
-}
-
 TEST(RecordingSinkTest, DiscardWithoutStoreIsTolerated) {
   RecordingSink sink;
   sink.on_buffer_discarded(1, id(9), at(10), true);
-  EXPECT_TRUE(sink.buffer_intervals().empty());
   EXPECT_EQ(sink.counters().discards, 1u);
 }
 
@@ -48,11 +25,9 @@ TEST(RecordingSinkTest, FirstRemoteRepairKeepsEarliest) {
   sink.on_repair_sent(2, id(1), /*remote=*/true, at(20));
   sink.on_repair_sent(3, id(1), /*remote=*/true, at(40));
   EXPECT_EQ(sink.first_remote_repair(id(1)), at(20));
-  EXPECT_EQ(sink.remote_repairs_for(id(1)), 3u);
   // Local repairs do not count toward remote tracking.
   sink.on_repair_sent(4, id(2), /*remote=*/false, at(5));
   EXPECT_EQ(sink.first_remote_repair(id(2)), TimePoint::max());
-  EXPECT_EQ(sink.remote_repairs_for(id(2)), 0u);
   EXPECT_EQ(sink.counters().repairs_sent, 4u);
   EXPECT_EQ(sink.counters().remote_repairs_sent, 3u);
 }

@@ -2,11 +2,36 @@
 // input rejection, truncation fuzzing.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <new>
 #include <set>
 #include <string>
+#include <string_view>
+#include <utility>
 
 #include "common/random.h"
 #include "proto/codec.h"
+
+// Records the largest single allocation made while `g_track_allocations`
+// is set, so a test can show that a hostile count is rejected before the
+// decoder allocates for it.
+namespace {
+bool g_track_allocations = false;
+std::size_t g_largest_allocation = 0;
+}  // namespace
+
+// GCC flags free() on memory from operator new even in the replacement
+// pair itself, where malloc/free is the matching allocator.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t n) {
+  if (g_track_allocations && n > g_largest_allocation) g_largest_allocation = n;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace rrmp::proto {
 namespace {
@@ -466,6 +491,40 @@ TEST(CodecNegativeTest, RepeatedCountJustAboveCapRejected) {
   EXPECT_FALSE(decode(bytes).has_value());
 }
 
+TEST(CodecNegativeTest, RepeatedCountBeyondFrameRejectedBeforeAllocating) {
+  // A count within kMaxRepeated but larger than the bytes left in the frame
+  // can never be satisfied (every element takes at least one byte). It must
+  // fail before the resize: otherwise a 4-byte Handoff frame makes the
+  // decoder allocate kMaxRepeated nested Data records (~70 MB).
+  std::vector<std::vector<std::uint8_t>> frames;
+  std::vector<std::uint8_t> handoff = {9};  // kHandoff
+  append_varint(handoff, kMaxRepeated);
+  frames.push_back(handoff);
+  std::vector<std::uint8_t> gossip = {10};  // kGossip
+  append_u32(gossip, 1);
+  append_varint(gossip, kMaxRepeated);
+  frames.push_back(gossip);
+  std::vector<std::uint8_t> ack = {14};  // kCreditAck
+  append_u32(ack, 1);
+  append_u64(ack, 2);
+  append_u64(ack, 3);
+  append_varint(ack, kMaxRepeated);
+  frames.push_back(ack);
+  std::vector<std::uint8_t> data = {1};  // kData with a trailing cursor block
+  append_message_id(data, 1, 2);
+  append_varint(data, 0);
+  append_varint(data, kMaxRepeated);
+  frames.push_back(data);
+  for (const auto& frame : frames) {
+    g_largest_allocation = 0;
+    g_track_allocations = true;
+    bool accepted = decode(frame).has_value();
+    g_track_allocations = false;
+    EXPECT_FALSE(accepted) << "tag " << int(frame[0]);
+    EXPECT_LT(g_largest_allocation, 4096u) << "tag " << int(frame[0]);
+  }
+}
+
 TEST(CodecNegativeTest, NestedHandoffPayloadTruncationRejected) {
   // A Handoff whose second nested Data frame is cut off mid-payload.
   std::vector<std::uint8_t> bytes = {9};  // kHandoff
@@ -601,6 +660,109 @@ TEST(CodecGoldenTest, ShedEncodesByteExact) {
   auto decoded = decode(want);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(std::get<Shed>(*decoded), s);
+}
+
+// One golden frame per wire layout, written as hex with a space between
+// fields. Encoder and decoder could change a field order in step and still
+// round-trip; these bytes would not.
+std::vector<std::uint8_t> hex(std::string_view s) {
+  std::vector<std::uint8_t> out;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    if (s[i] == ' ') continue;
+    out.push_back(static_cast<std::uint8_t>(
+        std::stoi(std::string(s.substr(i, 2)), nullptr, 16)));
+    ++i;
+  }
+  return out;
+}
+
+TEST(CodecGoldenTest, EveryFrameTypeEncodesByteExact) {
+  BufferDigest gen_digest{5, 0x1234, 200, {{2, 7, 3}}};
+  gen_digest.view_gen = 4;
+  CreditAck gen_ack{6, 0x55, 0x1000, {{2, 9}}};
+  gen_ack.view_gen = 300;
+  CreditAck gen_empty_ack{6, 0x55, 0x1000, {}};
+  gen_empty_ack.view_gen = 2;
+  const std::vector<std::pair<Message, std::string_view>> golden = {
+      {Data{MessageId{3, 99}, {0xAA, 0xBB}},
+       "01 03000000 6300000000000000 02aabb"},
+      {Data{MessageId{3, 99}, {0xAA}, {{2, 9}, {4, 300}}},
+       "01 03000000 6300000000000000 01aa 02 02000000 09 04000000 ac02"},
+      {Session{6, 0x1234}, "02 06000000 3412000000000000"},
+      {Session{6, 0x1234, {{1, 5}}},
+       "02 06000000 3412000000000000 01 01000000 05"},
+      {LocalRequest{MessageId{5, 0x0102}, 9},
+       "03 05000000 0201000000000000 09000000"},
+      {RemoteRequest{MessageId{6, 0x0304}, 10},
+       "04 06000000 0403000000000000 0a000000"},
+      {Repair{MessageId{7, 8}, {0x11, 0x22}, true},
+       "05 07000000 0800000000000000 021122 01"},
+      {Repair{MessageId{7, 8}, {}, false},
+       "05 07000000 0800000000000000 00 00"},
+      {RegionalRepair{MessageId{7, 8}, {0x33}, 12},
+       "06 07000000 0800000000000000 0133 0c000000"},
+      {SearchRequest{MessageId{2, 0x100}, 13},
+       "07 02000000 0001000000000000 0d000000"},
+      {SearchFound{MessageId{2, 0x100}, 14},
+       "08 02000000 0001000000000000 0e000000"},
+      {Handoff{{Data{MessageId{1, 1}, {0x42}}, Data{MessageId{1, 2}, {}}}},
+       "09 02 01000000 0100000000000000 0142 01000000 0200000000000000 00"},
+      {Handoff{}, "09 00"},
+      {Gossip{3, {{4, 5}, {6, 0x0708}}},
+       "0a 03000000 02 04000000 0500000000000000 06000000 0807000000000000"},
+      {History{2, {SourceHistory{1, 10, {0xFF, 0x8000000000000001}}}},
+       "0b 02000000 01 01000000 0a00000000000000 02 ff00000000000000 "
+       "0100000000000080"},
+      {BufferDigest{5, 0x1234, 200, {{2, 7, 3}}},
+       "0c 05000000 3412000000000000 c801 01 02000000 0700000000000000 03"},
+      {gen_digest,
+       "0c 05000000 3412000000000000 c801 01 02000000 0700000000000000 03 04"},
+      {Shed{9, Data{MessageId{3, 99}, {0xAA, 0xBB}}},
+       "0d 09000000 03000000 6300000000000000 02aabb"},
+      {CreditAck{6, 0x55, 0x1000, {{2, 9}}},
+       "0e 06000000 5500000000000000 0010000000000000 01 02000000 09"},
+      {gen_ack,
+       "0e 06000000 5500000000000000 0010000000000000 01 02000000 09 ac02"},
+      {gen_empty_ack,
+       "0e 06000000 5500000000000000 0010000000000000 00 02"},
+      {Escalate{MessageId{12, 999}, 5, 300},
+       "0f 0c000000 e703000000000000 05000000 ac02"},
+  };
+  std::set<MessageType> covered;
+  for (const auto& [msg, bytes] : golden) {
+    SCOPED_TRACE(bytes);
+    std::vector<std::uint8_t> want = hex(bytes);
+    EXPECT_EQ(encode(msg), want);
+    EXPECT_EQ(encoded_size(msg), want.size());
+    auto decoded = decode(want);
+    ASSERT_TRUE(decoded.has_value());
+    EXPECT_EQ(*decoded, msg);
+    auto shared = decode_shared(SharedBytes(want));
+    ASSERT_TRUE(shared.has_value());
+    EXPECT_EQ(*shared, msg);
+    if (const Data* d = std::get_if<Data>(&msg)) {
+      EXPECT_EQ(encoded_size(*d), want.size());
+    }
+    covered.insert(type_of(msg));
+  }
+  EXPECT_EQ(covered.size(), std::variant_size_v<Message>);
+}
+
+TEST(CodecNegativeTest, EscalateHopAboveUint32Rejected) {
+  // hop is a u32 carried as a varint; a wider value is hostile, not
+  // something to truncate (2^32 would otherwise decode as hop 0).
+  std::vector<std::uint8_t> max_hop = {15};  // kEscalate
+  append_message_id(max_hop, 1, 2);
+  append_u32(max_hop, 3);  // requester
+  std::vector<std::uint8_t> wide = max_hop;
+  append_varint(max_hop, 0xFFFFFFFFu);
+  auto decoded = decode(max_hop);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(std::get<Escalate>(*decoded).hop, 0xFFFFFFFFu);
+
+  append_varint(wide, 1ULL << 32);
+  EXPECT_FALSE(decode(wide).has_value());
+  EXPECT_FALSE(decode_shared(SharedBytes(wide)).has_value());
 }
 
 TEST(CodecNegativeTest, HostileDigestRangeCountRejected) {
